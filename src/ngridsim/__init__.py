@@ -10,7 +10,7 @@ from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
 from .harness import (FleetSeries, OutageEvent, Scenario, SimulationReport,
                       ValidationError, emit_report, run_replication,
                       run_simulation, sample_outages, sweep_repair_time,
-                      validate_scenario)
+                      sweep_reports, validate_scenario)
 from .metrics import (LabeledScore, MetricReport, final_metric, metric_report,
                       prc_auc, precision_recall_f1, roc_auc)
 from .sor import (BoostedModel, FeatureRow, SorTable, Stump, build_sor_table,

@@ -13,7 +13,7 @@ import sys
 
 from . import casestudy, sor as sor_engine
 from .config import load_scenario
-from .harness import ValidationError, emit_report, run_simulation, sweep_repair_time
+from .harness import ValidationError, emit_report, run_simulation, sweep_reports
 from .metrics import LabeledScore, metric_report
 
 
@@ -82,8 +82,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     repair_values = [float(v) for v in args.repair.split(",") if v.strip()]
-    rows = sweep_repair_time(scenario, repair_values, workers=args.workers)
-    report = run_simulation(scenario, workers=args.workers)
+    runs = sweep_reports(scenario, repair_values, workers=args.workers)
+    rows = [(repair, r.total_ens_mwh, r.total_spilled_mwh) for repair, r in runs]
+    # The series files describe the scenario's own repair time; reuse the
+    # sweep's run when it has one.
+    report = next((r for repair, r in runs if repair == scenario.repair_hours), None)
+    if report is None:
+        report = run_simulation(scenario, workers=args.workers)
     emit_report(report, rows, args.out)
     for repair, ens, spilled in rows:
         print(f"repair {repair:g} h: ENS {ens:.6f} MWh, spilled {spilled:.6f} MWh")

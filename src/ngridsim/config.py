@@ -81,56 +81,86 @@ def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyPr
     return profiles
 
 
+# The C parser, when PyYAML was built with it, yields the same documents
+# several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(path):
+    with open(path) as fh:
+        try:
+            return yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"{path}: malformed YAML: {exc}") from None
+
+
+def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGrid:
+    base_load, pv = profiles[nid]
+    bess = None
+    if "bess" in ndoc and ndoc["bess"] is not None:
+        b = ndoc["bess"]
+        bess = StorageUnit(capacity_kwh=float(b["capacity_kwh"]),
+                           p_max_kw=float(b["p_max_kw"]),
+                           soc_kwh=float(b.get("soc0_kwh", b["capacity_kwh"])),
+                           eta_charge=float(b.get("eta_charge", 1.0)),
+                           eta_discharge=float(b.get("eta_discharge", 1.0)))
+    evs = []
+    for edoc in ndoc.get("evs", []) or []:
+        battery = StorageUnit(capacity_kwh=float(edoc["capacity_kwh"]),
+                              p_max_kw=float(edoc["p_max_kw"]),
+                              soc_kwh=float(edoc["soc_arrival_kwh"]),
+                              eta_charge=float(edoc.get("eta_charge", 1.0)),
+                              eta_discharge=float(edoc.get("eta_discharge", 1.0)))
+        evs.append(ElectricVehicle(battery=battery,
+                                   plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"])),
+                                   soc_on_arrival_kwh=float(edoc["soc_arrival_kwh"])))
+    hvac = None
+    if "hvac" in ndoc and ndoc["hvac"] is not None:
+        hdoc = ndoc["hvac"]
+        hvac = HvacAsset(p_normal_kw=_profile(hdoc["p_normal"], horizon, f"n-Grid {nid} hvac"),
+                         p_min_kw=_profile(hdoc["p_min"], horizon, f"n-Grid {nid} hvac"))
+    tasks = []
+    for tdoc in ndoc.get("deferrables", []) or []:
+        tasks.append(DeferrableTask(energy_kwh=float(tdoc["energy_kwh"]),
+                                    power_kw=float(tdoc["power_kw"]),
+                                    earliest_hour=int(tdoc["earliest"]),
+                                    deadline_hour=int(tdoc["deadline"])))
+    return NGrid(id=nid, feeder_id=feeder_id, base_load=base_load, pv=pv,
+                 bess=bess, evs=tuple(evs), hvac=hvac, deferrables=tuple(tasks))
+
+
 def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
-    with open(fleet_path) as fh:
-        doc = yaml.safe_load(fh)
+    doc = _load_yaml(fleet_path)
     if not isinstance(doc, dict) or "feeders" not in doc:
         raise ValidationError(f"{fleet_path}: expected a top-level 'feeders' list")
     profiles = load_profiles(profiles_path, horizon)
 
     feeders = []
     ngrids = []
-    for fdoc in doc["feeders"]:
-        feeder_id = str(fdoc["id"])
-        ngrid_ids = []
-        for ndoc in fdoc.get("ngrids", []):
-            nid = str(ndoc["id"])
-            if nid not in profiles:
-                raise ValidationError(f"{profiles_path}: no profile rows for n-Grid {nid!r}")
-            base_load, pv = profiles[nid]
-            bess = None
-            if "bess" in ndoc and ndoc["bess"] is not None:
-                b = ndoc["bess"]
-                bess = StorageUnit(capacity_kwh=float(b["capacity_kwh"]),
-                                   p_max_kw=float(b["p_max_kw"]),
-                                   soc_kwh=float(b.get("soc0_kwh", b["capacity_kwh"])),
-                                   eta_charge=float(b.get("eta_charge", 1.0)),
-                                   eta_discharge=float(b.get("eta_discharge", 1.0)))
-            evs = []
-            for edoc in ndoc.get("evs", []) or []:
-                battery = StorageUnit(capacity_kwh=float(edoc["capacity_kwh"]),
-                                      p_max_kw=float(edoc["p_max_kw"]),
-                                      soc_kwh=float(edoc["soc_arrival_kwh"]),
-                                      eta_charge=float(edoc.get("eta_charge", 1.0)),
-                                      eta_discharge=float(edoc.get("eta_discharge", 1.0)))
-                evs.append(ElectricVehicle(battery=battery,
-                                           plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"])),
-                                           soc_on_arrival_kwh=float(edoc["soc_arrival_kwh"])))
-            hvac = None
-            if "hvac" in ndoc and ndoc["hvac"] is not None:
-                hdoc = ndoc["hvac"]
-                hvac = HvacAsset(p_normal_kw=_profile(hdoc["p_normal"], horizon, f"n-Grid {nid} hvac"),
-                                 p_min_kw=_profile(hdoc["p_min"], horizon, f"n-Grid {nid} hvac"))
-            tasks = []
-            for tdoc in ndoc.get("deferrables", []) or []:
-                tasks.append(DeferrableTask(energy_kwh=float(tdoc["energy_kwh"]),
-                                            power_kw=float(tdoc["power_kw"]),
-                                            earliest_hour=int(tdoc["earliest"]),
-                                            deadline_hour=int(tdoc["deadline"])))
-            ngrids.append(NGrid(id=nid, feeder_id=feeder_id, base_load=base_load, pv=pv,
-                                bess=bess, evs=tuple(evs), hvac=hvac, deferrables=tuple(tasks)))
-            ngrid_ids.append(nid)
-        feeders.append(Feeder(id=feeder_id, ngrid_ids=tuple(ngrid_ids)))
+    # ``where`` names the block being read, so a missing or malformed field
+    # is reported with its file and owner instead of as a bare KeyError.
+    where = "feeders"
+    try:
+        for i, fdoc in enumerate(doc["feeders"]):
+            where = f"feeder #{i}"
+            feeder_id = str(fdoc["id"])
+            ngrid_ids = []
+            for j, ndoc in enumerate(fdoc.get("ngrids", [])):
+                where = f"feeder {feeder_id!r} n-Grid #{j}"
+                nid = str(ndoc["id"])
+                if nid not in profiles:
+                    raise ValidationError(f"{profiles_path}: no profile rows for n-Grid {nid!r}")
+                where = f"n-Grid {nid!r}"
+                ngrids.append(_parse_ngrid(ndoc, nid, feeder_id, profiles, horizon))
+                ngrid_ids.append(nid)
+            feeders.append(Feeder(id=feeder_id, ngrid_ids=tuple(ngrid_ids)))
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(
+            f"{fleet_path}: {where}: missing required field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{fleet_path}: {where}: {exc}") from None
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 
 
@@ -147,8 +177,7 @@ def load_derate(path) -> dict[tuple[str, int], float]:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    doc = _load_yaml(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a YAML mapping")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -158,7 +187,13 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(f"{path}: missing required key {key!r}")
         return os.path.join(base_dir, str(doc[key]))
 
-    horizon = int(doc.get("horizon", 24))
+    def scalar(key: str, convert, default):
+        try:
+            return convert(doc.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: field {key!r}: {exc}") from None
+
+    horizon = scalar("horizon", int, 24)
     fleet = load_fleet(resolve("fleet"), resolve("profiles"), horizon)
     sor = load_sor_table(resolve("sor"))
     derate = None
@@ -168,10 +203,10 @@ def load_scenario(path) -> Scenario:
         fleet=fleet,
         sor=sor,
         horizon=horizon,
-        repair_hours=float(doc.get("repair_hours", 1.0)),
-        replications=int(doc.get("replications", 1)),
-        master_seed=int(doc.get("seed", 0)),
-        sr_delivery_hours=float(doc.get("sr_delivery_hours", 1.0)),
+        repair_hours=scalar("repair_hours", float, 1.0),
+        replications=scalar("replications", int, 1),
+        master_seed=scalar("seed", int, 0),
+        sr_delivery_hours=scalar("sr_delivery_hours", float, 1.0),
         derate=derate,
         precharge=str(doc.get("precharge", "full")),
     )

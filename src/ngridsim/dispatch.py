@@ -32,7 +32,10 @@ class NGridState:
     bess_soc_kwh: float
     ev_soc_kwh: list[float]
     deferred_energy_kwh: list[float]
-    hvac_curtailed: bool = False
+
+    def copy(self) -> "NGridState":
+        return NGridState(self.bess_soc_kwh, list(self.ev_soc_kwh),
+                          list(self.deferred_energy_kwh))
 
 
 def initial_state(ngrid: NGrid) -> NGridState:
@@ -168,7 +171,6 @@ def islanded_step(ngrid: NGrid, state: NGridState, hour: int) -> tuple[DispatchO
     base = ngrid.base_load[hour]
     hvac_min = ngrid.hvac.p_min_kw[hour] if ngrid.hvac is not None else 0.0
     hvac_norm = ngrid.hvac.p_normal_kw[hour] if ngrid.hvac is not None else 0.0
-    state.hvac_curtailed = True
 
     demand = base + hvac_min
     hvac_kw = hvac_min
@@ -217,8 +219,6 @@ def islanded_step(ngrid: NGrid, state: NGridState, hour: int) -> tuple[DispatchO
             restore = min(surplus, hvac_norm - hvac_min)
             hvac_kw = hvac_min + restore
             surplus -= restore
-            if hvac_kw == hvac_norm:
-                state.hvac_curtailed = False
         for i, task in enumerate(ngrid.deferrables):
             if surplus <= 0.0:
                 break
@@ -253,7 +253,6 @@ def connected_step(ngrid: NGrid, state: NGridState, hour: int,
     """One grid-tied hour: full service, task scheduling, storage recharge."""
     _check_state(ngrid, state)
     _apply_ev_arrivals(ngrid, state, hour)
-    state.hvac_curtailed = False
     if policy is None:
         policy = PrechargePolicy()
     horizon = len(ngrid.base_load)

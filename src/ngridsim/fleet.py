@@ -182,18 +182,22 @@ class Fleet:
     def __post_init__(self):
         object.__setattr__(self, "feeders", tuple(self.feeders))
         object.__setattr__(self, "ngrids", tuple(self.ngrids))
+        # Lookup indexes; with duplicate ids (which validate_fleet reports)
+        # the first n-Grid wins, as a scan in fleet order would find it.
+        by_id: dict[str, NGrid] = {}
+        on_feeder: dict[str, list[NGrid]] = {}
+        for ng in self.ngrids:
+            by_id.setdefault(ng.id, ng)
+            on_feeder.setdefault(ng.feeder_id, []).append(ng)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_on_feeder", on_feeder)
 
     def ngrid(self, ngrid_id: str) -> NGrid:
-        for ng in self.ngrids:
-            if ng.id == ngrid_id:
-                return ng
-        raise KeyError(ngrid_id)
-
-    def feeder_of(self, ngrid_id: str) -> str:
-        return self.ngrid(ngrid_id).feeder_id
+        return self._by_id[ngrid_id]
 
     def ngrids_on(self, feeder_id: str) -> list[NGrid]:
-        return [ng for ng in self.ngrids if ng.feeder_id == feeder_id]
+        """N-Grids declaring ``feeder_id``, in fleet order."""
+        return list(self._on_feeder.get(feeder_id, ()))
 
 
 def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:

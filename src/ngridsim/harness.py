@@ -8,9 +8,18 @@ uniform is pre-drawn per feeder-hour and the Bernoulli comparison is applied
 only while no outage is active, which keeps outage *starts* identical across
 repair-time sweep points.
 
-The no-outage "total" ramp trajectory is outage-independent, so it is
-computed once per scenario and shared across replications; a replication
-only re-dispatches n-Grids on feeders that actually see an outage.
+The no-outage shadow (every n-Grid grid-tied all day) is outage-independent,
+so it is computed once per scenario and shared across replications and
+across the points of a repair-time sweep. It keeps each n-Grid's state
+before every hour and its hourly served load and PV. A replication
+re-dispatches only n-Grids on feeders that see an outage, and only from the
+feeder's first outage hour, starting from a copy of the shadow state there.
+After the feeder's last islanded hour it stops as soon as an n-Grid's state
+after a connected hour equals the shadow's state after that hour, field by
+field and exactly: from then on connected dispatch repeats the shadow, whose
+stored values fill the remaining hours. Each hour's fleet totals are summed
+in the same order as a from-hour-0 re-dispatch, so results are bit-identical
+to it.
 """
 
 from __future__ import annotations
@@ -20,12 +29,12 @@ import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispatch import (PrechargePolicy, connected_step, initial_state,
-                       islanded_step, ramp_capacity)
+from .dispatch import (NGridState, PrechargePolicy, connected_step,
+                       initial_state, islanded_step, ramp_capacity)
 from .fleet import Fleet, validate_fleet
 from .sor import SorTable
 
@@ -63,12 +72,13 @@ class Scenario:
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     report = validate_fleet(scenario.fleet, scenario.horizon)
-    if scenario.repair_hours <= 0:
-        report.append(f"repair_hours must be > 0, got {scenario.repair_hours}")
+    if not (math.isfinite(scenario.repair_hours) and scenario.repair_hours > 0):
+        report.append(f"repair_hours must be finite and > 0, got {scenario.repair_hours}")
     if scenario.replications < 1:
         report.append(f"replications must be >= 1, got {scenario.replications}")
-    if scenario.sr_delivery_hours <= 0:
-        report.append(f"sr_delivery_hours must be > 0, got {scenario.sr_delivery_hours}")
+    if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
+        report.append(f"sr_delivery_hours must be finite and > 0, "
+                      f"got {scenario.sr_delivery_hours}")
     try:
         scenario.sor.check_complete([f.id for f in scenario.fleet.feeders], scenario.horizon)
     except ValueError as exc:
@@ -171,10 +181,22 @@ class _FeederShadow:
 
 
 @dataclass
+class _NGridShadow:
+    """One n-Grid's no-outage run. ``states[h]`` is its state before hour
+    ``h`` and ``states[H]`` its state after the last hour; replications
+    copy a snapshot before stepping it."""
+
+    states: list[NGridState]
+    served_load_kw: np.ndarray
+    pv_kw: np.ndarray
+
+
+@dataclass
 class _Shadow:
     """Connected-mode (no-outage) trajectory for the whole fleet."""
 
     per_feeder: dict[str, _FeederShadow]
+    per_ngrid: dict[str, _NGridShadow]
 
     def fleet_total(self, name: str, horizon: int) -> np.ndarray:
         total = np.zeros(horizon)
@@ -187,32 +209,40 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     H = scenario.horizon
     policy = scenario.policy()
     per_feeder: dict[str, _FeederShadow] = {}
+    per_ngrid: dict[str, _NGridShadow] = {}
     for feeder in scenario.fleet.feeders:
         fs = _FeederShadow(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
         for nid in feeder.ngrid_ids:
             ngrid = scenario.fleet.ngrid(nid)
+            ns = _NGridShadow([], np.zeros(H), np.zeros(H))
             state = initial_state(ngrid)
             for h in range(H):
+                ns.states.append(state.copy())
                 outcome, state = connected_step(ngrid, state, h, policy)
                 ramp = ramp_capacity(ngrid, state, outcome,
                                      scenario.sr_delivery_hours,
                                      scenario.derate_at(feeder.id, h))
+                ns.served_load_kw[h] = outcome.served_load_kw
+                ns.pv_kw[h] = outcome.pv_kw
                 fs.load_kw[h] += outcome.served_load_kw
                 fs.pv_kw[h] += outcome.pv_kw
                 fs.ru_kw[h] += ramp.ru_kw
                 fs.rd_kw[h] += ramp.rd_kw
+            ns.states.append(state)
+            per_ngrid[nid] = ns
         per_feeder[feeder.id] = fs
-    return _Shadow(per_feeder)
+    return _Shadow(per_feeder, per_ngrid)
 
 
 def run_replication(scenario: Scenario, replication_index: int,
                     shadow: _Shadow | None = None) -> tuple[FleetSeries, list[OutageEvent]]:
-    """Sample outages, dispatch every n-Grid through every hour, and return
-    fleet totals plus the outage log for one replication.
+    """Sample outages, dispatch the disturbed n-Grids, and return fleet
+    totals plus the outage log for one replication.
 
-    N-Grids on feeders with no outage this replication follow the cached
-    connected-mode trajectory exactly, so only disturbed feeders are
-    re-dispatched.
+    N-Grids on feeders with no outage this replication follow the shadow
+    exactly. An n-Grid on a disturbed feeder resumes from its shadow state
+    at the feeder's first outage hour and stops once it has rejoined the
+    shadow after the last one; every hour it skips takes its shadow values.
     """
     if shadow is None:
         shadow = compute_shadow(scenario)
@@ -234,6 +264,8 @@ def run_replication(scenario: Scenario, replication_index: int,
     for feeder_id in disturbed:
         fs = shadow.per_feeder[feeder_id]
         mask = islanded_mask(events, feeder_id, H)
+        islanded_hours = np.flatnonzero(mask)
+        first, last = int(islanded_hours[0]), int(islanded_hours[-1])
         # Islanded n-Grids deliver no ramp capacity; healthy-feeder
         # contributions are identical in total and available series.
         series.ru_avail_kw -= np.where(mask, fs.ru_kw, 0.0)
@@ -241,30 +273,49 @@ def run_replication(scenario: Scenario, replication_index: int,
         series.load_kw -= fs.load_kw
         series.pv_kw -= fs.pv_kw
         for ngrid in scenario.fleet.ngrids_on(feeder_id):
-            state = initial_state(ngrid)
-            for h in range(H):
+            ns = shadow.per_ngrid[ngrid.id]
+            load_kw = ns.served_load_kw.copy()
+            pv_kw = ns.pv_kw.copy()
+            ens_kw = np.zeros(H)
+            spilled_kw = np.zeros(H)
+            state = ns.states[first].copy()
+            for h in range(first, H):
                 if mask[h]:
                     outcome, state = islanded_step(ngrid, state, h)
                 else:
                     outcome, state = connected_step(ngrid, state, h, policy)
-                series.load_kw[h] += outcome.served_load_kw + outcome.ens_kw
-                series.pv_kw[h] += outcome.pv_kw
-                series.ens_kw[h] += outcome.ens_kw
-                series.spilled_kw[h] += outcome.spilled_kw
+                load_kw[h] = outcome.served_load_kw + outcome.ens_kw
+                pv_kw[h] = outcome.pv_kw
+                ens_kw[h] = outcome.ens_kw
+                spilled_kw[h] = outcome.spilled_kw
+                # Connected dispatch depends only on the state, so once the
+                # state is the shadow's, every later hour is the shadow's.
+                if h > last and state == ns.states[h + 1]:
+                    break
+            # One vector per n-Grid, in fleet order: each hour's sum keeps
+            # the order of a from-hour-0 re-dispatch.
+            series.load_kw += load_kw
+            series.pv_kw += pv_kw
+            series.ens_kw += ens_kw
+            series.spilled_kw += spilled_kw
     return series, events
 
 
-def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
+def run_simulation(scenario: Scenario, workers: int | None = None,
+                   shadow: _Shadow | None = None) -> SimulationReport:
     """Run all replications and average the fleet series element-wise.
 
     Replications are independent; with ``workers`` > 1 they run on a thread
     pool. Aggregation always reduces in replication order, so the result is
-    bit-identical regardless of scheduling.
+    bit-identical regardless of scheduling. A given ``shadow`` must come
+    from a scenario that differs from this one at most in repair time,
+    replication count and seed.
     """
     problems = validate_scenario(scenario)
     if problems:
         raise ValidationError("; ".join(problems))
-    shadow = compute_shadow(scenario)
+    if shadow is None:
+        shadow = compute_shadow(scenario)
     reps = scenario.replications
 
     def one(i: int) -> tuple[FleetSeries, list[OutageEvent]]:
@@ -301,21 +352,27 @@ def sweep_repair_time(scenario: Scenario, repair_values: list[float],
                       workers: int | None = None) -> list[tuple[float, float, float]]:
     """Re-run the simulation per repair time with identical seeds, so only
     the outage durations change. Rows: (repair_hours, ens MWh, spilled MWh)."""
+    return [(value, report.total_ens_mwh, report.total_spilled_mwh)
+            for value, report in sweep_reports(scenario, repair_values, workers)]
+
+
+def sweep_reports(scenario: Scenario, repair_values: list[float],
+                  workers: int | None = None) -> list[tuple[float, SimulationReport]]:
+    """One (repair_hours, report) pair per repair time, as
+    :func:`sweep_repair_time` describes. The shadow does not depend on the
+    repair time, so every run shares one."""
     if not repair_values:
         raise ValidationError("repair_values must be non-empty")
     if any(b <= a for a, b in zip(repair_values, repair_values[1:])):
         raise ValidationError("repair_values must be strictly increasing")
-    rows = []
-    for value in repair_values:
-        variant = Scenario(fleet=scenario.fleet, sor=scenario.sor,
-                           horizon=scenario.horizon, repair_hours=value,
-                           replications=scenario.replications,
-                           master_seed=scenario.master_seed,
-                           sr_delivery_hours=scenario.sr_delivery_hours,
-                           derate=scenario.derate, precharge=scenario.precharge)
-        report = run_simulation(variant, workers)
-        rows.append((value, report.total_ens_mwh, report.total_spilled_mwh))
-    return rows
+    variants = [replace(scenario, repair_hours=value) for value in repair_values]
+    # The shadow needs a valid scenario; each run re-checks its own variant.
+    problems = validate_scenario(variants[0])
+    if problems:
+        raise ValidationError("; ".join(problems))
+    shadow = compute_shadow(scenario)
+    return [(variant.repair_hours, run_simulation(variant, workers, shadow))
+            for variant in variants]
 
 
 def _fmt(x: float) -> str:

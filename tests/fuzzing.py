@@ -10,8 +10,8 @@ from __future__ import annotations
 import random
 
 from ngridsim.dispatch import NGridState
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, HourlyProfile,
-                            HvacAsset, NGrid, StorageUnit)
+from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
+                            HourlyProfile, HvacAsset, NGrid, StorageUnit)
 from oracles import power_balance_residual
 
 H = 24
@@ -63,6 +63,55 @@ def random_islanded_case(rng: random.Random):
         ev_soc_kwh=[rng.uniform(0.0, ev.battery.capacity_kwh) for ev in evs],
         deferred_energy_kwh=[rng.uniform(0.0, t.energy_kwh) for t in tasks])
     return ngrid, state, hour
+
+
+def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int) -> Fleet:
+    """A small fleet of whole-day n-Grids: BESS and EVs with efficiencies
+    below 1 and power limits low enough that some never refill, EVs that
+    arrive mid-day, per-hour HVAC, and deferrable tasks. ``Fleet.ngrids`` is
+    shuffled, so fleet order differs from each feeder's listing order."""
+    feeders, ngrids = [], []
+    for f in range(n_feeders):
+        ids = []
+        for n in range(ngrids_per_feeder):
+            peak = rng.uniform(0.0, 9.0)
+            pv = [max(0.0, peak * (1.0 - abs(h - 12.5) / 6.0)) for h in range(H)]
+            bess = None
+            if rng.random() < 0.7:
+                cap = rng.uniform(2.0, 15.0)
+                bess = StorageUnit(cap, rng.uniform(0.3, 6.0), rng.uniform(0.0, cap),
+                                   eta_charge=rng.uniform(0.85, 1.0),
+                                   eta_discharge=rng.uniform(0.85, 1.0))
+            evs = []
+            for _ in range(rng.randrange(0, 3)):
+                cap = rng.uniform(5.0, 60.0)
+                leave, back = rng.randrange(0, 12), rng.randrange(12, H)
+                evs.append(ElectricVehicle(
+                    battery=StorageUnit(cap, rng.uniform(1.0, 8.0), cap,
+                                        eta_charge=rng.uniform(0.85, 1.0),
+                                        eta_discharge=rng.uniform(0.85, 1.0)),
+                    plug_hours=frozenset(range(leave)) | frozenset(range(back, H)),
+                    soc_on_arrival_kwh=rng.uniform(0.0, cap)))
+            hvac = None
+            if rng.random() < 0.6:
+                norm = [rng.uniform(0.5, 3.0) for _ in range(H)]
+                hvac = HvacAsset(HourlyProfile(norm),
+                                 HourlyProfile([rng.uniform(0.0, x) for x in norm]))
+            tasks = []
+            for _ in range(rng.randrange(0, 3)):
+                earliest = rng.randrange(0, H)
+                tasks.append(DeferrableTask(rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0),
+                                            earliest, rng.randrange(earliest, H)))
+            nid = f"N{f}-{n}"
+            ids.append(nid)
+            ngrids.append(NGrid(
+                id=nid, feeder_id=f"F{f}",
+                base_load=HourlyProfile([rng.uniform(0.0, 5.0) for _ in range(H)]),
+                pv=HourlyProfile(pv), bess=bess, evs=tuple(evs), hvac=hvac,
+                deferrables=tuple(tasks)))
+        feeders.append(Feeder(f"F{f}", tuple(ids)))
+    rng.shuffle(ngrids)
+    return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 
 
 def snapshot_pre_dispatch(ngrid: NGrid, state: NGridState, hour: int):

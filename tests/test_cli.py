@@ -2,6 +2,7 @@ import filecmp
 
 import pytest
 
+from ngridsim import cli, harness
 from ngridsim.cli import main
 from ngridsim.config import load_scenario, parse_plug_hours
 from ngridsim.harness import ValidationError
@@ -123,6 +124,67 @@ class TestCliExitCodes:
               "--workers", "4"])
         for name in ("fleet_series.csv", "summary.csv", "outages.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
+                               shallow=False)
+
+
+class TestLoaderErrors:
+    """Malformed inputs end in exit 1 with the file and field named."""
+
+    def run(self, scenario, tmp_path, capsys):
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_missing_fleet_field(self, tmp_path, capsys):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.yaml"
+        fleet.write_text(fleet.read_text().replace("capacity_kwh: 10.0, ", ""))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert "fleet.yaml" in err and "'N1'" in err and "'capacity_kwh'" in err
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.yaml"
+        fleet.write_text(fleet.read_text().replace("- id: N1", "- id: [N1"))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert "fleet.yaml" in err and "malformed YAML" in err
+
+    def test_nan_repair_hours(self, tmp_path, capsys):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace("repair_hours: 1.0", "repair_hours: .nan"))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert "repair_hours" in err and "finite" in err
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("repair, runs, shadows", [("1,2,3", 3, 1), ("2,3", 3, 2)])
+    def test_series_match_simulate(self, tmp_path, monkeypatch, repair, runs, shadows):
+        """The sweep's series files are the scenario's own simulation; a
+        sweep that lists its repair time (1 h) reuses that run."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "sim")]) == 0
+        calls = {"run_simulation": 0, "compute_shadow": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(harness, "run_simulation")
+        counted(harness, "compute_shadow")
+        monkeypatch.setattr(cli, "run_simulation", harness.run_simulation)
+        assert main(["sweep", "--scenario", str(scenario), "--repair", repair,
+                     "--out", str(tmp_path / "swp")]) == 0
+        assert calls["run_simulation"] == runs
+        assert calls["compute_shadow"] == shadows
+        for name in ("fleet_series.csv", "summary.csv", "outages.csv"):
+            assert filecmp.cmp(tmp_path / "sim" / name, tmp_path / "swp" / name,
                                shallow=False)
 
 

@@ -19,6 +19,24 @@ def two_feeder_fleet():
     return Fleet(feeders=(Feeder("F1", ("N1",)), Feeder("F2", ("N2",))), ngrids=(a, b))
 
 
+class TestFleetLookups:
+    def test_indexed_lookups_keep_scan_semantics(self):
+        a = make_ngrid("N1", "F1")
+        b = make_ngrid("N2", "F2")
+        c = make_ngrid("N3", "F1")
+        dup = make_ngrid("N1", "F2", base=9.0)
+        fleet = Fleet(feeders=(Feeder("F1", ("N3", "N1")), Feeder("F2", ("N2",))),
+                      ngrids=(a, b, c, dup))
+        assert fleet.ngrid("N1") is a  # first in fleet order wins
+        assert fleet.ngrids_on("F1") == [a, c]  # fleet order, not feeder listing
+        assert fleet.ngrids_on("F2") == [b, dup]
+        assert fleet.ngrids_on("F9") == []
+        fleet.ngrids_on("F1").clear()
+        assert fleet.ngrids_on("F1") == [a, c]
+        with pytest.raises(KeyError):
+            fleet.ngrid("N9")
+
+
 class TestValidateFleet:
     def test_well_formed(self):
         assert validate_fleet(two_feeder_fleet(), H) == []

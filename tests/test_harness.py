@@ -1,16 +1,22 @@
 import filecmp
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fuzzing import random_fleet
+from ngridsim import harness
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit)
-from ngridsim.harness import (FleetSeries, OutageEvent, Scenario,
-                              ValidationError, emit_report, feeder_rng,
-                              islanded_mask, run_replication, run_simulation,
-                              sample_outages, sweep_repair_time,
+from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
+                              Scenario, ValidationError, compute_shadow,
+                              emit_report, feeder_rng, islanded_mask,
+                              run_replication, run_simulation, sample_outages,
+                              sweep_repair_time, sweep_reports,
                               validate_scenario)
 from ngridsim.sor import SorTable
+from oracles import replication_from_hour0
 
 H = 24
 
@@ -142,6 +148,92 @@ class TestRunReplication:
                 assert series.ru_avail_kw[h] == series.ru_total_kw[h]
 
 
+@pytest.fixture
+def step_log(monkeypatch):
+    """Records (n-Grid id, hour, connected) for every dispatch step the
+    harness makes through its module-level step names."""
+    log = []
+
+    def wrap(step, connected):
+        def counted(ngrid, state, hour, *rest):
+            log.append((ngrid.id, hour, connected))
+            return step(ngrid, state, hour, *rest)
+        return counted
+
+    monkeypatch.setattr(harness, "connected_step", wrap(harness.connected_step, True))
+    monkeypatch.setattr(harness, "islanded_step", wrap(harness.islanded_step, False))
+    return log
+
+
+class TestIncrementalReplication:
+    """Resuming from the shadow and stopping at reconvergence must give
+    bit-identical series to re-dispatching every disturbed n-Grid from
+    hour 0."""
+
+    @staticmethod
+    def random_scenario(seed, precharge):
+        rng = random.Random(seed)
+        fleet = random_fleet(rng, n_feeders=3, ngrids_per_feeder=3)
+        entries = {(f.id, h): rng.uniform(0.0, 0.4) for f in fleet.feeders for h in range(H)}
+        # F0 is certain to fail late in the day, so its last outage is cut
+        # off at hour 23.
+        entries.update({("F0", h): 1.0 for h in (21, 22, 23)})
+        return Scenario(fleet=fleet, sor=SorTable(entries), horizon=H,
+                        repair_hours=rng.choice([1.0, 2.5, 4.0]),
+                        master_seed=seed, precharge=precharge)
+
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_bit_identical_to_from_hour0_oracle(self, precharge, step_log):
+        seen = {"several outages": False, "ends at hour 23": False,
+                "reconverged": False, "never reconverged": False}
+        for seed in range(12):
+            scenario = self.random_scenario(seed, precharge)
+            shadow = compute_shadow(scenario)
+            for rep in range(4):
+                step_log.clear()
+                got, events = run_replication(scenario, rep, shadow)
+                want, want_events = replication_from_hour0(scenario, rep, shadow)
+                assert events == want_events
+                for name in SERIES_FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), \
+                        (seed, rep, name)
+                last = {}
+                for ev in events:
+                    last[ev.feeder_id] = ev.start_hour + ev.duration_hours - 1
+                    seen["ends at hour 23"] |= last[ev.feeder_id] == H - 1
+                seen["several outages"] |= len(events) > len(last)
+                final = {}
+                for nid, hour, _ in step_log:
+                    final[nid] = max(final.get(nid, hour), hour)
+                for nid, hour in final.items():
+                    if last[scenario.fleet.ngrid(nid).feeder_id] < H - 2:
+                        seen["reconverged"] |= hour < H - 1
+                        seen["never reconverged"] |= hour == H - 1
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("k", [0, 9, 23])
+    def test_no_step_before_first_outage(self, k, step_log):
+        # N1 has a slow-charging BESS; N2 has no state at all, so it rejoins
+        # the shadow after its first connected hour.
+        n1 = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
+                   pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(10.0, 0.5, 10.0))
+        n2 = NGrid(id="N2", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
+                   pv=HourlyProfile.zeros(H))
+        n3 = NGrid(id="N3", feeder_id="F2", base_load=HourlyProfile.constant(1.0, H),
+                   pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
+        fleet = Fleet(feeders=(Feeder("F1", ("N1", "N2")), Feeder("F2", ("N3",))),
+                      ngrids=(n1, n2, n3))
+        sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
+        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=1.0)
+        shadow = compute_shadow(scenario)
+        step_log.clear()
+        run_replication(scenario, 0, shadow)
+        assert min(hour for nid, hour, _ in step_log if nid == "N1") == k
+        assert [(h, c) for nid, h, c in step_log if nid == "N2"] == \
+            [(k, False)] + ([(k + 1, True)] if k + 1 < H else [])
+        assert not any(nid == "N3" for nid, _, _ in step_log)
+
+
 class TestRunSimulation:
     def test_single_replication_equals_its_series(self):
         sor = flat_sor(["F1"], overrides={("F1", 2): 1.0})
@@ -195,6 +287,22 @@ class TestSweep:
         for d in diffs:
             assert abs(d - 0.002) < 1e-9  # one extra hour of 2 kW per repair hour
 
+    def test_one_shadow_shared_across_repair_times(self, monkeypatch):
+        calls = []
+        original = harness.compute_shadow
+        monkeypatch.setattr(harness, "compute_shadow",
+                            lambda scenario: calls.append(1) or original(scenario))
+        sor = flat_sor(["F1"], p=0.3)
+        scenario = single_ngrid_scenario(load=2.0, sor=sor, replications=3, master_seed=5,
+                                         bess=StorageUnit(5.0, 1.0, 5.0))
+        runs = sweep_reports(scenario, [1.0, 2.0, 4.0])
+        assert len(calls) == 1
+        for value, report in runs:
+            alone = run_simulation(replace(scenario, repair_hours=value))
+            for name in SERIES_FIELDS:
+                np.testing.assert_array_equal(getattr(report.mean_series, name),
+                                              getattr(alone.mean_series, name))
+
     def test_bad_repair_lists_rejected(self):
         scenario = single_ngrid_scenario()
         with pytest.raises(ValidationError):
@@ -243,6 +351,12 @@ class TestValidateScenario:
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H)
         problems = validate_scenario(scenario)
         assert any("missing" in p for p in problems)
+
+    @pytest.mark.parametrize("field", ["repair_hours", "sr_delivery_hours"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_scalars_rejected(self, field, value):
+        problems = validate_scenario(single_ngrid_scenario(**{field: value}))
+        assert any(field in p for p in problems)
 
     def test_derate_range_checked(self):
         scenario = single_ngrid_scenario(derate={("F1", 0): 1.5})
