@@ -5,8 +5,7 @@ from .dispatch import (DispatchOutcome, NGridState, PrechargePolicy,
                        RampCapacity, SrOffer, connected_step, initial_state,
                        islanded_step, ramp_capacity, sr_capacity)
 from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
-                    HourlyProfile, HvacAsset, NGrid, StorageUnit, net_load,
-                    validate_fleet)
+                    HourlyProfile, HvacAsset, NGrid, StorageUnit, validate_fleet)
 from .harness import (FleetSeries, OutageEvent, Scenario, SimulationReport,
                       ValidationError, emit_report, run_replication,
                       run_simulation, sample_outages, sweep_repair_time,

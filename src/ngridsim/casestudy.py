@@ -11,17 +11,18 @@ and shape checks, not value reproduction.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 
 import numpy as np
 import yaml
 
+from .config import PROFILE_COLUMNS
 from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                     HourlyProfile, HvacAsset, NGrid, StorageUnit)
 from .harness import Scenario
-from .sor import SorTable
+from .sor import SorTable, save_sor_table
+from .tables import write_table
 
 N_FEEDERS = 10
 NGRIDS_PER_FEEDER = 50
@@ -111,19 +112,10 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
     scenario file path."""
     os.makedirs(out_dir, exist_ok=True)
 
-    with open(os.path.join(out_dir, "profiles.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["ngrid_id", "hour", "load_kw", "pv_kw"])
-        for ng in scenario.fleet.ngrids:
-            for h in range(scenario.horizon):
-                writer.writerow([ng.id, h, format(ng.base_load[h], ".10g"),
-                                 format(ng.pv[h], ".10g")])
-
-    with open(os.path.join(out_dir, "sor.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feeder_id", "hour", "probability"])
-        for (f, h) in sorted(scenario.sor.probabilities):
-            writer.writerow([f, h, format(scenario.sor.probabilities[(f, h)], ".10g")])
+    write_table(os.path.join(out_dir, "profiles.csv"), PROFILE_COLUMNS,
+                ([ng.id, h, ng.base_load[h], ng.pv[h]]
+                 for ng in scenario.fleet.ngrids for h in range(scenario.horizon)))
+    save_sor_table(scenario.sor, os.path.join(out_dir, "sor.csv"))
 
     def plug_ranges(hours: frozenset[int]) -> str:
         parts = []

@@ -8,13 +8,13 @@ and ``demo`` (writes the bundled case-study scenario files). Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from . import casestudy, sor as sor_engine
 from .config import load_scenario
-from .harness import ValidationError, emit_report, run_simulation, sweep_reports
+from .harness import emit_report, run_simulation, sweep_reports
 from .metrics import LabeledScore, metric_report
+from .tables import ValidationError, read_table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,13 +96,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    samples = []
-    with open(args.scores, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"label", "score"}.issubset(reader.fieldnames):
-            raise ValidationError(f"{args.scores}: expected header with label,score columns")
-        for rec in reader:
-            samples.append(LabeledScore(label=int(rec["label"]), score=float(rec["score"])))
+    samples = [LabeledScore(label=rec["label"], score=rec["score"])
+               for rec in read_table(args.scores, ("label", "score"),
+                                     {"label": int, "score": float}.get)]
     rep = metric_report(samples, args.threshold)
     print(f"roc_auc: {rep.roc_auc:.6f}")
     print(f"f1:      {rep.f1:.6f}")

@@ -10,15 +10,17 @@ declaring BESS, EVs (plug hours as ranges like ``0-6,19-23``), HVAC
 
 from __future__ import annotations
 
-import csv
 import os
 
 import yaml
 
 from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                     HourlyProfile, HvacAsset, NGrid, StorageUnit)
-from .harness import Scenario, ValidationError
+from .harness import Scenario
 from .sor import load_sor_table
+from .tables import ValidationError, read_table
+
+PROFILE_COLUMNS = ("ngrid_id", "hour", "load_kw", "pv_kw")
 
 
 def parse_plug_hours(spec) -> set[int]:
@@ -53,31 +55,23 @@ def _profile(value, horizon: int, where: str) -> HourlyProfile:
 
 def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyProfile]]:
     """Per-n-Grid (load, pv) profiles from CSV; every hour must be present."""
-    load: dict[str, list] = {}
-    pv: dict[str, list] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"ngrid_id", "hour", "load_kw", "pv_kw"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"{path}: expected header with columns {sorted(required)}")
-        for rec in reader:
-            nid = rec["ngrid_id"]
-            h = int(rec["hour"])
-            if nid not in load:
-                load[nid] = [None] * horizon
-                pv[nid] = [None] * horizon
-            if not (0 <= h < horizon):
-                raise ValidationError(f"{path}: hour {h} out of range for n-Grid {nid!r}")
-            if load[nid][h] is not None:
-                raise ValidationError(f"{path}: duplicate row for n-Grid {nid!r} hour {h}")
-            load[nid][h] = float(rec["load_kw"])
-            pv[nid][h] = float(rec["pv_kw"])
+    hours_of: dict[str, list] = {}  # n-Grid id -> (load_kw, pv_kw) per hour
+    for rec in read_table(path, PROFILE_COLUMNS,
+                          {"hour": int, "load_kw": float, "pv_kw": float}.get):
+        nid, h = rec["ngrid_id"], rec["hour"]
+        if nid not in hours_of:
+            hours_of[nid] = [None] * horizon
+        if not (0 <= h < horizon):
+            raise ValidationError(f"{path}: hour {h} out of range for n-Grid {nid!r}")
+        if hours_of[nid][h] is not None:
+            raise ValidationError(f"{path}: duplicate row for n-Grid {nid!r} hour {h}")
+        hours_of[nid][h] = (rec["load_kw"], rec["pv_kw"])
     profiles = {}
-    for nid in load:
-        for h in range(horizon):
-            if load[nid][h] is None:
-                raise ValidationError(f"{path}: n-Grid {nid!r} missing hour {h}")
-        profiles[nid] = (HourlyProfile(load[nid]), HourlyProfile(pv[nid]))
+    for nid, hours in hours_of.items():
+        if None in hours:
+            raise ValidationError(f"{path}: n-Grid {nid!r} missing hour {hours.index(None)}")
+        profiles[nid] = (HourlyProfile(load for load, _ in hours),
+                         HourlyProfile(pv for _, pv in hours))
     return profiles
 
 
@@ -165,15 +159,9 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
 
 
 def load_derate(path) -> dict[tuple[str, int], float]:
-    derate: dict[tuple[str, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"feeder_id", "hour", "factor"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValidationError(f"{path}: expected header with columns {sorted(required)}")
-        for rec in reader:
-            derate[(rec["feeder_id"], int(rec["hour"]))] = float(rec["factor"])
-    return derate
+    return {(rec["feeder_id"], rec["hour"]): rec["factor"]
+            for rec in read_table(path, ("feeder_id", "hour", "factor"),
+                                  {"hour": int, "factor": float}.get)}
 
 
 def load_scenario(path) -> Scenario:

@@ -23,6 +23,7 @@ from .fleet import NGrid
 from .sor import SorTable
 
 _EPS = 1e-9
+SOR_LOOKAHEAD_HOURS = 4
 
 
 @dataclass
@@ -86,11 +87,10 @@ class RampCapacity:
 class PrechargePolicy:
     """Connected-mode recharge target. ``full`` charges toward capacity;
     ``sor`` charges toward capacity scaled by the worst outage risk over the
-    next ``lookahead_hours`` hours."""
+    next ``SOR_LOOKAHEAD_HOURS`` hours."""
 
     mode: str = "full"
     sor: SorTable | None = None
-    lookahead_hours: int = 4
 
     def target_fraction(self, feeder_id: str, hour: int, horizon: int) -> float:
         if self.mode == "full":
@@ -100,7 +100,7 @@ class PrechargePolicy:
         if self.sor is None:
             raise ValueError("sor precharge policy needs a SoR table")
         worst = 0.0
-        for h in range(hour + 1, min(hour + 1 + self.lookahead_hours, horizon)):
+        for h in range(hour + 1, min(hour + 1 + SOR_LOOKAHEAD_HOURS, horizon)):
             worst = max(worst, self.sor.get(feeder_id, h))
         return worst
 

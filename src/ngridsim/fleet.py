@@ -252,18 +252,3 @@ def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:
     for nid in sorted(uncovered):
         report.append(f"n-Grid {nid!r} not covered by any feeder")
     return report
-
-
-def net_load(ngrid: NGrid, hour: int, hvac_curtailed: bool = False,
-             deferrable_served_kw: float = 0.0) -> float:
-    """Net load (kW, may be negative) = load components minus PV at ``hour``.
-
-    HVAC contributes its comfort floor when curtailed, otherwise its
-    occupant-set level.
-    """
-    if hour < 0 or hour >= len(ngrid.base_load):
-        raise IndexError(f"hour {hour} out of range for horizon {len(ngrid.base_load)}")
-    hvac_kw = 0.0
-    if ngrid.hvac is not None:
-        hvac_kw = ngrid.hvac.p_min_kw[hour] if hvac_curtailed else ngrid.hvac.p_normal_kw[hour]
-    return ngrid.base_load[hour] + hvac_kw + deferrable_served_kw - ngrid.pv[hour]

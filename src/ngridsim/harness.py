@@ -24,7 +24,6 @@ to it.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import zlib
@@ -37,10 +36,7 @@ from .dispatch import (NGridState, PrechargePolicy, connected_step,
                        initial_state, islanded_step, ramp_capacity)
 from .fleet import Fleet, validate_fleet
 from .sor import SorTable
-
-
-class ValidationError(ValueError):
-    """Scenario or input-file contents violate the schema or an invariant."""
+from .tables import ValidationError, write_table
 
 
 SERIES_FIELDS = ("load_kw", "pv_kw", "ens_kw", "spilled_kw",
@@ -70,12 +66,18 @@ class Scenario:
         return PrechargePolicy(mode="full")
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    report = validate_fleet(scenario.fleet, scenario.horizon)
+def _run_problems(scenario: Scenario) -> list[str]:
+    """Checks on the settings a shared shadow does not depend on."""
+    problems = []
     if not (math.isfinite(scenario.repair_hours) and scenario.repair_hours > 0):
-        report.append(f"repair_hours must be finite and > 0, got {scenario.repair_hours}")
+        problems.append(f"repair_hours must be finite and > 0, got {scenario.repair_hours}")
     if scenario.replications < 1:
-        report.append(f"replications must be >= 1, got {scenario.replications}")
+        problems.append(f"replications must be >= 1, got {scenario.replications}")
+    return problems
+
+
+def validate_scenario(scenario: Scenario) -> list[str]:
+    report = validate_fleet(scenario.fleet, scenario.horizon) + _run_problems(scenario)
     if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
         report.append(f"sr_delivery_hours must be finite and > 0, "
                       f"got {scenario.sr_delivery_hours}")
@@ -309,9 +311,10 @@ def run_simulation(scenario: Scenario, workers: int | None = None,
     pool. Aggregation always reduces in replication order, so the result is
     bit-identical regardless of scheduling. A given ``shadow`` must come
     from a scenario that differs from this one at most in repair time,
-    replication count and seed.
+    replication count and seed; with one, only the repair time and the
+    replication count are validated.
     """
-    problems = validate_scenario(scenario)
+    problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
     if problems:
         raise ValidationError("; ".join(problems))
     if shadow is None:
@@ -366,17 +369,15 @@ def sweep_reports(scenario: Scenario, repair_values: list[float],
     if any(b <= a for a, b in zip(repair_values, repair_values[1:])):
         raise ValidationError("repair_values must be strictly increasing")
     variants = [replace(scenario, repair_hours=value) for value in repair_values]
-    # The shadow needs a valid scenario; each run re-checks its own variant.
+    # The variants differ only in repair time: validate the first in full and
+    # the others' repair times before the shared shadow is computed.
     problems = validate_scenario(variants[0])
+    problems += [p for variant in variants[1:] for p in _run_problems(variant)]
     if problems:
         raise ValidationError("; ".join(problems))
     shadow = compute_shadow(scenario)
     return [(variant.repair_hours, run_simulation(variant, workers, shadow))
             for variant in variants]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
 
 
 def emit_report(report: SimulationReport,
@@ -385,42 +386,25 @@ def emit_report(report: SimulationReport,
     """Write fleet_series.csv, summary.csv, outages.csv, and (when a sweep is
     given) sweep.csv. Output is byte-identical for identical inputs."""
     os.makedirs(out_dir, exist_ok=True)
+    series = report.mean_series
+    tables = [
+        ("fleet_series.csv", ("hour",) + SERIES_FIELDS,
+         ([h] + [getattr(series, name)[h] for name in SERIES_FIELDS]
+          for h in range(len(series.load_kw)))),
+        ("summary.csv", ("total_ens_mwh", "total_spilled_mwh", "max_ru_total_kw"),
+         [(report.total_ens_mwh, report.total_spilled_mwh, report.max_ru_total_kw)]),
+        ("outages.csv", ("replication", "feeder_id", "start_hour", "duration_hours"),
+         ((rep, ev.feeder_id, ev.start_hour, ev.duration_hours)
+          for rep, events in enumerate(report.outage_logs) for ev in events)),
+    ]
+    if sweep:
+        tables.append(("sweep.csv", ("repair_hours", "total_ens_mwh", "total_spilled_mwh"),
+                       sweep))
     written = []
-
-    def path(name: str) -> str:
-        return os.path.join(out_dir, name)
-
     try:
-        series = report.mean_series
-        with open(path("fleet_series.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("hour",) + SERIES_FIELDS)
-            for h in range(len(series.load_kw)):
-                writer.writerow([h] + [_fmt(getattr(series, name)[h]) for name in SERIES_FIELDS])
-        written.append(path("fleet_series.csv"))
-
-        with open(path("summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["total_ens_mwh", "total_spilled_mwh", "max_ru_total_kw"])
-            writer.writerow([_fmt(report.total_ens_mwh), _fmt(report.total_spilled_mwh),
-                             _fmt(report.max_ru_total_kw)])
-        written.append(path("summary.csv"))
-
-        with open(path("outages.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replication", "feeder_id", "start_hour", "duration_hours"])
-            for rep, events in enumerate(report.outage_logs):
-                for ev in events:
-                    writer.writerow([rep, ev.feeder_id, ev.start_hour, ev.duration_hours])
-        written.append(path("outages.csv"))
-
-        if sweep:
-            with open(path("sweep.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["repair_hours", "total_ens_mwh", "total_spilled_mwh"])
-                for repair, ens, spilled in sweep:
-                    writer.writerow([_fmt(repair), _fmt(ens), _fmt(spilled)])
-            written.append(path("sweep.csv"))
+        for name, header, rows in tables:
+            written.append(os.path.join(out_dir, name))
+            write_table(written[-1], header, rows)
     except OSError as exc:
         raise OSError(f"failed writing report to {out_dir}: {exc}") from exc
     return written

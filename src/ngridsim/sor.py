@@ -9,14 +9,15 @@ level-membership set chosen by sorted-prefix grouping.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 from .metrics import LabeledScore, MetricReport, metric_report
+from .tables import read_table, write_table
 
 MODEL_FORMAT_VERSION = 1
+SOR_COLUMNS = ("feeder_id", "hour", "probability")
 
 DEFAULT_N_STUMPS = 200
 DEFAULT_LEARNING_RATE = 0.1
@@ -296,27 +297,19 @@ def build_sor_table(model: BoostedModel, rows: list[FeatureRow]) -> SorTable:
 def load_sor_table(path) -> SorTable:
     """Read a ``feeder_id,hour,probability`` CSV into a validated table."""
     entries: dict[tuple[str, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"feeder_id", "hour", "probability"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected header with columns {sorted(required)}")
-        for rec in reader:
-            key = (rec["feeder_id"], int(rec["hour"]))
-            if key in entries:
-                raise ValueError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
-            entries[key] = float(rec["probability"])
+    for rec in read_table(path, SOR_COLUMNS, {"hour": int, "probability": float}.get):
+        key = (rec["feeder_id"], rec["hour"])
+        if key in entries:
+            raise ValueError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
+        entries[key] = rec["probability"]
     if not entries:
         raise ValueError(f"{path}: empty SoR table")
     return _validate_table(entries)
 
 
 def save_sor_table(table: SorTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feeder_id", "hour", "probability"])
-        for (f, h) in sorted(table.probabilities):
-            writer.writerow([f, h, format(table.probabilities[(f, h)], ".10g")])
+    write_table(path, SOR_COLUMNS, ([f, h, table.probabilities[(f, h)]]
+                                    for (f, h) in sorted(table.probabilities)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +357,29 @@ def load_model(path) -> BoostedModel:
 # Training/scoring CSV: feeder_id,hour[,label],<features>; "cat:" header
 # prefix marks categorical columns.
 
+_KEY_TYPES = {"feeder_id": None, "hour": int, "label": lambda text: int(text) if text else None}
+
+
+def _feature_type(column: str):
+    if column in _KEY_TYPES:
+        return _KEY_TYPES[column]
+    return None if column.startswith("cat:") else float
+
+
 def load_feature_rows(path, require_label: bool = False) -> list[FeatureRow]:
+    required = ("feeder_id", "hour", "label") if require_label else ("feeder_id", "hour")
     rows: list[FeatureRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if "feeder_id" not in names or "hour" not in names:
-            raise ValueError(f"{path}: expected feeder_id and hour columns")
-        has_label = "label" in names
-        if require_label and not has_label:
-            raise ValueError(f"{path}: label column required")
-        feature_cols = [c for c in names if c not in ("feeder_id", "hour", "label")]
-        for rec in reader:
-            numeric: dict[str, float] = {}
-            categorical: dict[str, str] = {}
-            for col in feature_cols:
-                if col.startswith("cat:"):
-                    categorical[col[4:]] = rec[col]
-                else:
-                    numeric[col] = float(rec[col])
-            label = None
-            if has_label and rec["label"] not in ("", None):
-                label = int(rec["label"])
-            rows.append(FeatureRow(feeder_id=rec["feeder_id"], hour=int(rec["hour"]),
-                                   numeric=numeric, categorical=categorical, label=label))
+    for rec in read_table(path, required, _feature_type):
+        numeric: dict[str, float] = {}
+        categorical: dict[str, str] = {}
+        for col, value in rec.items():
+            if col.startswith("cat:"):
+                categorical[col[4:]] = value
+            elif col not in _KEY_TYPES:
+                numeric[col] = value
+        rows.append(FeatureRow(feeder_id=rec["feeder_id"], hour=rec["hour"],
+                               numeric=numeric, categorical=categorical,
+                               label=rec.get("label")))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows

@@ -1,0 +1,48 @@
+"""The CSV format of every table the package reads or writes: a header row,
+LF line endings, floats written with 10 significant digits."""
+
+from __future__ import annotations
+
+import csv
+
+
+class ValidationError(ValueError):
+    """Scenario or input-file contents violate the schema or an invariant."""
+
+
+def read_table(path, required, types):
+    """Yield the data rows of the CSV at ``path`` as dicts keyed by its header.
+
+    The header must name every column in ``required``, and every row needs a
+    cell for each header column. ``types(column)`` gives the callable that
+    converts that column's cells, or None to keep them as text. A missing or
+    unconvertible cell raises ValidationError naming its line and column.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not set(required).issubset(header):
+            raise ValidationError(f"{path}: expected header with columns {sorted(required)}")
+        converters = [(name, convert) for name in header
+                      if (convert := types(name)) is not None]
+        for row in filter(None, reader):  # blank lines hold no row
+            if len(row) < len(header):
+                raise ValidationError(f"{path}: line {reader.line_num}, "
+                                      f"column {header[len(row)]!r}: missing cell")
+            rec = dict(zip(header, row))
+            for name, convert in converters:
+                try:
+                    rec[name] = convert(rec[name])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {reader.line_num}, "
+                                          f"column {name!r}: {exc}") from None
+            yield rec
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``; float cells as ``.10g``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(x, ".10g") if isinstance(x, float) else x for x in row]
+                         for row in rows)

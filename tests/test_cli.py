@@ -157,6 +157,38 @@ class TestLoaderErrors:
         assert code == 1
         assert "repair_hours" in err and "finite" in err
 
+    SIMULATE = ["simulate", "--scenario", "{root}/scenario.yaml", "--out", "{root}/out"]
+
+    @pytest.mark.parametrize("fault", ["non-numeric cell", "short row"])
+    @pytest.mark.parametrize("name, line, column, argv", [
+        ("profiles.csv", 7, "pv_kw", SIMULATE),
+        ("sor.csv", 5, "probability", SIMULATE),
+        ("derate.csv", 3, "factor", SIMULATE),
+        ("scores.csv", 3, "score", ["metrics", "--scores", "{root}/scores.csv"]),
+        ("train.csv", 3, "gust",
+         ["sor", "train", "--data", "{root}/train.csv", "--out", "{root}/model.json"]),
+    ], ids=["profiles", "sor", "derate", "scores", "train"])
+    def test_malformed_csv_row(self, tmp_path, capsys, name, line, column, argv, fault):
+        """Each CSV input: the last cell of one row is non-numeric or missing."""
+        root = tmp_path / "tiny"
+        scenario = write_tiny_bundle(root)
+        scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
+        (root / "derate.csv").write_text("feeder_id,hour,factor\nF1,0,0.9\nF1,1,0.8\n")
+        (root / "scores.csv").write_text("label,score\n1,0.9\n0,0.2\n1,0.7\n")
+        (root / "train.csv").write_text("feeder_id,hour,label,gust\n" + "".join(
+            f"F1,{h},{h % 2},{10.0 + 20.0 * (h % 2)}\n" for h in range(12)))
+        path = root / name
+        lines = path.read_text().splitlines()
+        cells = lines[line - 1].split(",")[:-1]
+        lines[line - 1] = ",".join(cells + ["abc"] if fault == "non-numeric cell" else cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main([arg.format(root=root) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert name in err and f"line {line}," in err and repr(column) in err
+        assert "Traceback" not in err
+
 
 class TestSweepReuse:
     @pytest.mark.parametrize("repair, runs, shadows", [("1,2,3", 3, 1), ("2,3", 3, 2)])

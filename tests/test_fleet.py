@@ -2,7 +2,7 @@ import pytest
 
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                             HourlyProfile, HvacAsset, NGrid, StorageUnit,
-                            net_load, validate_fleet)
+                            validate_fleet)
 
 H = 24
 
@@ -77,35 +77,6 @@ class TestValidateFleet:
         report = validate_fleet(fleet, H)
         assert any("soc_kwh" in v for v in report)
         assert any("window" in v for v in report)
-
-
-class TestNetLoad:
-    def test_with_hvac_normal(self):
-        ng = make_ngrid(base=3.0, pv=1.0,
-                        hvac=HvacAsset(HourlyProfile.constant(2.0, H),
-                                       HourlyProfile.constant(0.5, H)))
-        assert net_load(ng, 0) == pytest.approx(4.0)
-
-    def test_pure_surplus(self):
-        ng = make_ngrid(base=0.0, pv=3.0)
-        assert net_load(ng, 5) == pytest.approx(-3.0)
-
-    def test_curtailed(self):
-        ng = make_ngrid(base=2.0, pv=2.0,
-                        hvac=HvacAsset(HourlyProfile.constant(2.0, H),
-                                       HourlyProfile.constant(0.5, H)))
-        assert net_load(ng, 0, hvac_curtailed=True) == pytest.approx(0.5)
-
-    def test_curtailment_monotone(self):
-        ng = make_ngrid(base=1.0, pv=0.5,
-                        hvac=HvacAsset(HourlyProfile.constant(1.5, H),
-                                       HourlyProfile.constant(0.4, H)))
-        for h in range(H):
-            assert net_load(ng, h, hvac_curtailed=True) <= net_load(ng, h, hvac_curtailed=False)
-
-    def test_hour_out_of_range(self):
-        with pytest.raises(IndexError):
-            net_load(make_ngrid(), H)
 
 
 class TestEvPlugModel:

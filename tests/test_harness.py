@@ -309,6 +309,16 @@ class TestSweep:
             sweep_repair_time(scenario, [])
         with pytest.raises(ValidationError):
             sweep_repair_time(scenario, [2.0, 1.0])
+        with pytest.raises(ValidationError, match="repair_hours"):
+            sweep_repair_time(scenario, [1.0, float("nan")])
+
+    def test_fleet_validated_once(self, monkeypatch):
+        calls = []
+        original = harness.validate_fleet
+        monkeypatch.setattr(harness, "validate_fleet",
+                            lambda *args: calls.append(1) or original(*args))
+        sweep_reports(single_ngrid_scenario(), [1.0, 2.0, 3.0])
+        assert len(calls) == 1
 
 
 class TestEmitReport:

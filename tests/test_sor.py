@@ -175,6 +175,10 @@ class TestSorTable:
         again = load_sor_table(path)
         for key, p in table.probabilities.items():
             assert again.probabilities[key] == pytest.approx(p)
+        assert b"\r" not in path.read_bytes()
+        exact = SorTable({("F1", h): h / 32.0 for h in range(24)})
+        save_sor_table(exact, path)
+        assert load_sor_table(path) == exact
 
 
 class TestModelFile:
