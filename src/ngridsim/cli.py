@@ -27,13 +27,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=None, help="override replication count")
     sim.add_argument("--seed", type=int, default=None, help="override master seed")
     sim.add_argument("--precharge", choices=["full", "sor"], default=None)
-    sim.add_argument("--workers", type=int, default=None, help="replication thread count")
+    sim.add_argument("--workers", type=int, default=None, help="ignored: replications run serially")
 
     swp = sub.add_parser("sweep", help="repair-time sensitivity sweep")
     swp.add_argument("--scenario", required=True)
     swp.add_argument("--repair", required=True, help="comma-separated hours, e.g. 1,2,3,4")
     swp.add_argument("--out", required=True)
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=int, default=None, help="ignored: replications run serially")
 
     met = sub.add_parser("metrics", help="score a label,score CSV")
     met.add_argument("--scores", required=True)
@@ -70,7 +70,7 @@ def _cmd_simulate(args) -> int:
         scenario.master_seed = args.seed
     if args.precharge is not None:
         scenario.precharge = args.precharge
-    report = run_simulation(scenario, workers=args.workers)
+    report = run_simulation(scenario)
     emit_report(report, None, args.out)
     print(f"replications: {scenario.replications}")
     print(f"total ENS: {report.total_ens_mwh:.6f} MWh")
@@ -82,28 +82,29 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     repair_values = [float(v) for v in args.repair.split(",") if v.strip()]
-    runs = sweep_reports(scenario, repair_values, workers=args.workers)
+    runs = sweep_reports(scenario, repair_values)
     rows = [(repair, r.total_ens_mwh, r.total_spilled_mwh) for repair, r in runs]
     # The series files describe the scenario's own repair time; reuse the
     # sweep's run when it has one.
     report = next((r for repair, r in runs if repair == scenario.repair_hours), None)
     if report is None:
-        report = run_simulation(scenario, workers=args.workers)
+        report = run_simulation(scenario)
     emit_report(report, rows, args.out)
     for repair, ens, spilled in rows:
         print(f"repair {repair:g} h: ENS {ens:.6f} MWh, spilled {spilled:.6f} MWh")
     return 0
 
 
+def _print_metrics(rep) -> None:
+    for name in ("roc_auc", "f1", "prc_auc", "fm"):
+        print(f"{name + ':':8} {getattr(rep, name):.6f}")
+
+
 def _cmd_metrics(args) -> int:
     samples = [LabeledScore(label=rec["label"], score=rec["score"])
                for rec in read_table(args.scores, ("label", "score"),
                                      {"label": int, "score": float}.get)]
-    rep = metric_report(samples, args.threshold)
-    print(f"roc_auc: {rep.roc_auc:.6f}")
-    print(f"f1:      {rep.f1:.6f}")
-    print(f"prc_auc: {rep.prc_auc:.6f}")
-    print(f"fm:      {rep.fm:.6f}")
+    _print_metrics(metric_report(samples, args.threshold))
     return 0
 
 
@@ -124,11 +125,7 @@ def _cmd_sor(args) -> int:
     else:
         model = sor_engine.load_model(args.model)
         rows = sor_engine.load_feature_rows(args.data, require_label=True)
-        rep = sor_engine.evaluate(model, rows, args.threshold)
-        print(f"roc_auc: {rep.roc_auc:.6f}")
-        print(f"f1:      {rep.f1:.6f}")
-        print(f"prc_auc: {rep.prc_auc:.6f}")
-        print(f"fm:      {rep.fm:.6f}")
+        _print_metrics(sor_engine.evaluate(model, rows, args.threshold))
     return 0
 
 

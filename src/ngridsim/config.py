@@ -81,11 +81,13 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ValidationError(f"{path}: malformed YAML: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGrid:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,16 +194,11 @@ class _NGridShadow:
 
 @dataclass
 class _Shadow:
-    """Connected-mode (no-outage) trajectory for the whole fleet."""
+    """The no-outage trajectory per feeder and n-Grid, and the fleet series it sums to."""
 
     per_feeder: dict[str, _FeederShadow]
     per_ngrid: dict[str, _NGridShadow]
-
-    def fleet_total(self, name: str, horizon: int) -> np.ndarray:
-        total = np.zeros(horizon)
-        for fs in self.per_feeder.values():
-            total += getattr(fs, name)
-        return total
+    baseline: FleetSeries
 
 
 def compute_shadow(scenario: Scenario) -> _Shadow:
@@ -212,6 +206,7 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     policy = scenario.policy()
     per_feeder: dict[str, _FeederShadow] = {}
     per_ngrid: dict[str, _NGridShadow] = {}
+    baseline = FleetSeries.zeros(H)
     for feeder in scenario.fleet.feeders:
         fs = _FeederShadow(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
         for nid in feeder.ngrid_ids:
@@ -233,7 +228,13 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
             ns.states.append(state)
             per_ngrid[nid] = ns
         per_feeder[feeder.id] = fs
-    return _Shadow(per_feeder, per_ngrid)
+        baseline.load_kw += fs.load_kw
+        baseline.pv_kw += fs.pv_kw
+        baseline.ru_total_kw += fs.ru_kw
+        baseline.rd_total_kw += fs.rd_kw
+    baseline.ru_avail_kw += baseline.ru_total_kw
+    baseline.rd_avail_kw += baseline.rd_total_kw
+    return _Shadow(per_feeder, per_ngrid, baseline)
 
 
 def run_replication(scenario: Scenario, replication_index: int,
@@ -254,12 +255,7 @@ def run_replication(scenario: Scenario, replication_index: int,
         lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
 
     series = FleetSeries.zeros(H)
-    series.load_kw += shadow.fleet_total("load_kw", H)
-    series.pv_kw += shadow.fleet_total("pv_kw", H)
-    series.ru_total_kw += shadow.fleet_total("ru_kw", H)
-    series.rd_total_kw += shadow.fleet_total("rd_kw", H)
-    series.ru_avail_kw += series.ru_total_kw
-    series.rd_avail_kw += series.rd_total_kw
+    series.add_(shadow.baseline)
 
     policy = scenario.policy()
     disturbed = sorted({ev.feeder_id for ev in events})
@@ -305,41 +301,29 @@ def run_replication(scenario: Scenario, replication_index: int,
 
 def run_simulation(scenario: Scenario, workers: int | None = None,
                    shadow: _Shadow | None = None) -> SimulationReport:
-    """Run all replications and average the fleet series element-wise.
+    """Run all replications in index order, folding each into the running
+    fleet totals as it finishes, and average the fleet series element-wise.
 
-    Replications are independent; with ``workers`` > 1 they run on a thread
-    pool. Aggregation always reduces in replication order, so the result is
-    bit-identical regardless of scheduling. A given ``shadow`` must come
-    from a scenario that differs from this one at most in repair time,
-    replication count and seed; with one, only the repair time and the
-    replication count are validated.
+    ``workers`` is accepted for compatibility and ignored: the replications
+    are short pure-Python work that threads do not speed up. A given
+    ``shadow`` must come from a scenario that differs from this one at most
+    in repair time, replication count and seed; with one, only the repair
+    time and the replication count are validated.
     """
     problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
     if problems:
         raise ValidationError("; ".join(problems))
     if shadow is None:
         shadow = compute_shadow(scenario)
-    reps = scenario.replications
-
-    def one(i: int) -> tuple[FleetSeries, list[OutageEvent]]:
-        return run_replication(scenario, i, shadow)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(reps)))
-    else:
-        results = [one(i) for i in range(reps)]
-
     total = FleetSeries.zeros(scenario.horizon)
-    outage_logs = []
-    per_rep_ens = []
-    per_rep_spilled = []
-    for series, events in results:
+    outage_logs, per_rep_ens, per_rep_spilled = [], [], []
+    for i in range(scenario.replications):
+        series, events = run_replication(scenario, i, shadow)
         total.add_(series)
         outage_logs.append(events)
         per_rep_ens.append(float(series.ens_kw.sum()) / 1000.0)
         per_rep_spilled.append(float(series.spilled_kw.sum()) / 1000.0)
-    mean = total.scaled(1.0 / reps)
+    mean = total.scaled(1.0 / scenario.replications)
     return SimulationReport(
         mean_series=mean,
         total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,
@@ -351,16 +335,16 @@ def run_simulation(scenario: Scenario, workers: int | None = None,
     )
 
 
-def sweep_repair_time(scenario: Scenario, repair_values: list[float],
-                      workers: int | None = None) -> list[tuple[float, float, float]]:
+def sweep_repair_time(scenario: Scenario,
+                      repair_values: list[float]) -> list[tuple[float, float, float]]:
     """Re-run the simulation per repair time with identical seeds, so only
     the outage durations change. Rows: (repair_hours, ens MWh, spilled MWh)."""
     return [(value, report.total_ens_mwh, report.total_spilled_mwh)
-            for value, report in sweep_reports(scenario, repair_values, workers)]
+            for value, report in sweep_reports(scenario, repair_values)]
 
 
-def sweep_reports(scenario: Scenario, repair_values: list[float],
-                  workers: int | None = None) -> list[tuple[float, SimulationReport]]:
+def sweep_reports(scenario: Scenario,
+                  repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
     """One (repair_hours, report) pair per repair time, as
     :func:`sweep_repair_time` describes. The shadow does not depend on the
     repair time, so every run shares one."""
@@ -376,7 +360,7 @@ def sweep_reports(scenario: Scenario, repair_values: list[float],
     if problems:
         raise ValidationError("; ".join(problems))
     shadow = compute_shadow(scenario)
-    return [(variant.repair_hours, run_simulation(variant, workers, shadow))
+    return [(variant.repair_hours, run_simulation(variant, shadow=shadow))
             for variant in variants]
 
 

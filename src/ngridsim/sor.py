@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .metrics import LabeledScore, MetricReport, metric_report
-from .tables import read_table, write_table
+from .tables import ValidationError, read_table, write_table
 
 MODEL_FORMAT_VERSION = 1
 SOR_COLUMNS = ("feeder_id", "hour", "probability")
@@ -338,19 +338,29 @@ def save_model(model: BoostedModel, path) -> None:
 
 
 def load_model(path) -> BoostedModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version!r}")
-    stumps = tuple(
-        Stump(feature=s["feature"], kind=s["kind"], threshold=s["threshold"],
-              levels=tuple(s["levels"]) if s["levels"] is not None else None,
-              left_value=s["left_value"], right_value=s["right_value"])
-        for s in doc["stumps"]
-    )
-    return BoostedModel(base_score=doc["base_score"],
-                        learning_rate=doc["learning_rate"], stumps=stumps)
+    where = "top level"  # the part being read, for error messages
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{path}: expected a JSON object at the top level")
+        if (version := doc.get("format_version")) != MODEL_FORMAT_VERSION:
+            raise ValidationError(f"{path}: unsupported model format version {version!r}")
+        base_score, learning_rate = doc["base_score"], doc["learning_rate"]
+        stumps = []
+        for i, s in enumerate(doc["stumps"]):
+            where = f"stump #{i}"
+            stumps.append(Stump(feature=s["feature"], kind=s["kind"], threshold=s["threshold"],
+                                levels=tuple(s["levels"]) if s["levels"] is not None else None,
+                                left_value=s["left_value"], right_value=s["right_value"]))
+        return BoostedModel(base_score, learning_rate, tuple(stumps))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        kind = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "malformed JSON"
+        raise ValidationError(f"{path}: {kind}: {exc}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{path}: {where}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValidationError(f"{path}: {where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,30 +13,37 @@ class ValidationError(ValueError):
 def read_table(path, required, types):
     """Yield the data rows of the CSV at ``path`` as dicts keyed by its header.
 
-    The header must name every column in ``required``, and every row needs a
-    cell for each header column. ``types(column)`` gives the callable that
-    converts that column's cells, or None to keep them as text. A missing or
-    unconvertible cell raises ValidationError naming its line and column.
+    The header must name every column in ``required``, and every row needs
+    exactly one cell per header column. ``types(column)`` gives the callable
+    that converts that column's cells, or None to keep them as text. A
+    missing, extra or unconvertible cell, or a file that is not UTF-8,
+    raises ValidationError naming the file and, for a cell, its line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not set(required).issubset(header):
-            raise ValidationError(f"{path}: expected header with columns {sorted(required)}")
-        converters = [(name, convert) for name in header
-                      if (convert := types(name)) is not None]
-        for row in filter(None, reader):  # blank lines hold no row
-            if len(row) < len(header):
-                raise ValidationError(f"{path}: line {reader.line_num}, "
-                                      f"column {header[len(row)]!r}: missing cell")
-            rec = dict(zip(header, row))
-            for name, convert in converters:
-                try:
-                    rec[name] = convert(rec[name])
-                except ValueError as exc:
+        try:
+            header = next(reader, None)
+            if header is None or not set(required).issubset(header):
+                raise ValidationError(f"{path}: expected header with columns {sorted(required)}")
+            converters = [(name, convert) for name in header
+                          if (convert := types(name)) is not None]
+            for row in filter(None, reader):  # blank lines hold no row
+                if len(row) < len(header):
                     raise ValidationError(f"{path}: line {reader.line_num}, "
-                                          f"column {name!r}: {exc}") from None
-            yield rec
+                                          f"column {header[len(row)]!r}: missing cell")
+                if len(row) > len(header):
+                    raise ValidationError(f"{path}: line {reader.line_num}, {len(row)} cells for "
+                                          f"{len(header)} columns: extra after column {header[-1]!r}")
+                rec = dict(zip(header, row))
+                for name, convert in converters:
+                    try:
+                        rec[name] = convert(rec[name])
+                    except ValueError as exc:
+                        raise ValidationError(f"{path}: line {reader.line_num}, "
+                                              f"column {name!r}: {exc}") from None
+                yield rec
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_table(path, header, rows) -> None:

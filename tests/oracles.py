@@ -64,12 +64,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
         lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
 
     series = FleetSeries.zeros(H)
-    series.load_kw += shadow.fleet_total("load_kw", H)
-    series.pv_kw += shadow.fleet_total("pv_kw", H)
-    series.ru_total_kw += shadow.fleet_total("ru_kw", H)
-    series.rd_total_kw += shadow.fleet_total("rd_kw", H)
-    series.ru_avail_kw += series.ru_total_kw
-    series.rd_avail_kw += series.rd_total_kw
+    series.add_(shadow.baseline)
 
     policy = scenario.policy()
     disturbed = sorted({ev.feeder_id for ev in events})

@@ -1,4 +1,5 @@
 import filecmp
+import json
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestLoaderErrors:
 
     SIMULATE = ["simulate", "--scenario", "{root}/scenario.yaml", "--out", "{root}/out"]
 
-    @pytest.mark.parametrize("fault", ["non-numeric cell", "short row"])
+    @pytest.mark.parametrize("fault", ["non-numeric cell", "short row", "extra cell"])
     @pytest.mark.parametrize("name, line, column, argv", [
         ("profiles.csv", 7, "pv_kw", SIMULATE),
         ("sor.csv", 5, "probability", SIMULATE),
@@ -169,7 +170,8 @@ class TestLoaderErrors:
          ["sor", "train", "--data", "{root}/train.csv", "--out", "{root}/model.json"]),
     ], ids=["profiles", "sor", "derate", "scores", "train"])
     def test_malformed_csv_row(self, tmp_path, capsys, name, line, column, argv, fault):
-        """Each CSV input: the last cell of one row is non-numeric or missing."""
+        """Each CSV input: the last cell of one row is non-numeric, missing,
+        or followed by an extra cell."""
         root = tmp_path / "tiny"
         scenario = write_tiny_bundle(root)
         scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
@@ -179,14 +181,39 @@ class TestLoaderErrors:
             f"F1,{h},{h % 2},{10.0 + 20.0 * (h % 2)}\n" for h in range(12)))
         path = root / name
         lines = path.read_text().splitlines()
-        cells = lines[line - 1].split(",")[:-1]
-        lines[line - 1] = ",".join(cells + ["abc"] if fault == "non-numeric cell" else cells)
+        cells = lines[line - 1].split(",")
+        faulty = {"non-numeric cell": cells[:-1] + ["abc"], "short row": cells[:-1],
+                  "extra cell": cells + ["0"]}
+        lines[line - 1] = ",".join(faulty[fault])
         path.write_text("\n".join(lines) + "\n")
         code = main([arg.format(root=root) for arg in argv])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert name in err and f"line {line}," in err and repr(column) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("profiles.csv", SIMULATE),
+        ("fleet.yaml", SIMULATE),
+        ("model.json", ["sor", "eval", "--model", "{root}/model.json",
+                        "--data", "{root}/train.csv"]),
+    ], ids=["csv", "yaml", "model"])
+    def test_not_utf8(self, tmp_path, capsys, name, argv):
+        root = tmp_path / "tiny"
+        write_tiny_bundle(root)
+        TestSorCli.write_training_csv(root / "train.csv")
+        assert main(["sor", "train", "--data", str(root / "train.csv"),
+                     "--out", str(root / "model.json"), "--stumps", "3"]) == 0
+        capsys.readouterr()
+        path = root / name
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+        code = main([arg.format(root=root) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert name in err and "not UTF-8" in err
         assert "Traceback" not in err
 
 
@@ -221,7 +248,8 @@ class TestSweepReuse:
 
 
 class TestSorCli:
-    def write_training_csv(self, path, n=120):
+    @staticmethod
+    def write_training_csv(path, n=120):
         import random
         rng = random.Random(0)
         lines = ["feeder_id,hour,label,gust,cat:season"]
@@ -255,6 +283,33 @@ class TestSorCli:
         text = sor_out.read_text().splitlines()
         assert text[0] == "feeder_id,hour,probability"
         assert len(text) == 25
+
+    @pytest.mark.parametrize("fault, named", [
+        ("no stumps", "top level: missing field 'stumps'"),
+        ("stump without kind", "stump #1: missing field 'kind'"),
+        ("top-level list", "expected a JSON object"),
+        ("malformed JSON", "malformed JSON"),
+    ], ids=["no-stumps", "no-kind", "list", "bad-json"])
+    def test_malformed_model(self, tmp_path, capsys, fault, named):
+        """A bad model file ends in exit 1 naming the file and the field."""
+        data = tmp_path / "train.csv"
+        self.write_training_csv(data)
+        model = tmp_path / "model.json"
+        assert main(["sor", "train", "--data", str(data), "--out", str(model),
+                     "--stumps", "3"]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if fault == "no stumps":
+            del doc["stumps"]
+        elif fault == "stump without kind":
+            del doc["stumps"][1]["kind"]
+        text = json.dumps([doc] if fault == "top-level list" else doc)
+        model.write_text(text.replace('"', "'", 2) if fault == "malformed JSON" else text)
+        assert main(["sor", "eval", "--model", str(model), "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "model.json" in err and named in err
+        assert "Traceback" not in err
 
     def test_train_single_class_fails_validation(self, tmp_path):
         data = tmp_path / "train.csv"

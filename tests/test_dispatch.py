@@ -8,8 +8,9 @@ from ngridsim.dispatch import (DispatchOutcome, NGridState, PrechargePolicy,
                                ramp_capacity, sr_capacity)
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, HourlyProfile,
                             HvacAsset, NGrid, StorageUnit)
-from fuzzing import (check_islanded_invariants, random_islanded_case,
-                     snapshot_pre_dispatch)
+from ngridsim.sor import SorTable
+from fuzzing import (TOL, check_islanded_invariants, random_fleet,
+                     random_islanded_case, snapshot_pre_dispatch)
 from oracles import power_balance_residual
 
 H = 24
@@ -274,3 +275,53 @@ class TestSufficiency:
                     _, state = connected_step(ng, state, h)
                 assert -1e-9 <= state.bess_soc_kwh <= 10.0 + 1e-9
                 assert -1e-9 <= state.ev_soc_kwh[0] <= 30.0 + 1e-9
+
+
+def stored_kwh(power_kw, unit):
+    """Energy a storage unit gains for a power flow (positive = discharge)."""
+    return -power_kw * unit.eta_charge if power_kw < 0.0 else -power_kw / unit.eta_discharge
+
+
+class TestWholeHorizon:
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_fuzz_ledgers_over_mixed_days(self, precharge):
+        """Random days from all connected to all islanded: every hour keeps
+        power balance and SoC bounds, and over the day the storage and task
+        energy ledgers close."""
+        rng = random.Random(f"horizon-{precharge}")
+        for case in range(150):
+            fleet = random_fleet(rng, n_feeders=1, ngrids_per_feeder=4)
+            share = case % 5 / 4  # islanded share: 0, 1/4, ..., 1
+            mask = [rng.random() < share for _ in range(H)]
+            sor = SorTable({("F0", h): rng.random() for h in range(H)})
+            policy = PrechargePolicy(mode=precharge, sor=sor)
+            for ngrid in fleet.ngrids:
+                state = initial_state(ngrid)
+                bess_start, bess_flow = state.bess_soc_kwh, 0.0
+                ev_start, ev_flow = list(state.ev_soc_kwh), [0.0] * len(ngrid.evs)
+                task_kwh = 0.0
+                for h in range(H):
+                    for i, ev in enumerate(ngrid.evs):
+                        if ev.arrives(h):  # close the ledger, then reset
+                            assert state.ev_soc_kwh[i] - ev_start[i] == \
+                                pytest.approx(ev_flow[i], abs=TOL)
+                            ev_start[i], ev_flow[i] = ev.soc_on_arrival_kwh, 0.0
+                    if mask[h]:
+                        out, state = islanded_step(ngrid, state, h)
+                    else:
+                        out, state = connected_step(ngrid, state, h, policy)
+                    assert abs(power_balance_residual(out)) <= TOL
+                    if ngrid.bess is not None:
+                        assert -TOL <= state.bess_soc_kwh <= ngrid.bess.capacity_kwh + TOL
+                        bess_flow += stored_kwh(out.bess_kw, ngrid.bess)
+                    for i, ev in enumerate(ngrid.evs):
+                        assert -TOL <= state.ev_soc_kwh[i] <= ev.battery.capacity_kwh + TOL
+                        ev_flow[i] += stored_kwh(out.ev_kw_each[i], ev.battery)
+                    task_kwh += (out.served_load_kw + out.ens_kw
+                                 - ngrid.base_load[h] - out.hvac_kw)
+                assert state.bess_soc_kwh - bess_start == pytest.approx(bess_flow, abs=TOL)
+                for i in range(len(ngrid.evs)):
+                    assert state.ev_soc_kwh[i] - ev_start[i] == pytest.approx(ev_flow[i], abs=TOL)
+                assert task_kwh == pytest.approx(
+                    sum(t.energy_kwh for t in ngrid.deferrables), abs=TOL)
+                assert state.deferred_energy_kwh == [0.0] * len(ngrid.deferrables)

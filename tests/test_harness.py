@@ -1,6 +1,7 @@
 import filecmp
 import math
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from fuzzing import random_fleet
 from ngridsim import harness
+from ngridsim.cli import main
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
@@ -17,6 +19,7 @@ from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               validate_scenario)
 from ngridsim.sor import SorTable
 from oracles import replication_from_hour0
+from test_cli import write_tiny_bundle
 
 H = 24
 
@@ -259,6 +262,20 @@ class TestRunSimulation:
             np.testing.assert_array_equal(getattr(serial.mean_series, name),
                                           getattr(parallel.mean_series, name))
         assert serial.outage_logs == parallel.outage_logs
+
+    def test_workers_start_no_threads(self, tmp_path, monkeypatch):
+        """``workers`` is accepted and selects no code path: replications
+        run serially, in the library and through the CLI."""
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        sor = flat_sor(["F1"], p=0.2)
+        scenario = single_ngrid_scenario(sor=sor, replications=8, master_seed=11,
+                                         bess=StorageUnit(5.0, 2.0, 5.0))
+        assert len(run_simulation(scenario, workers=4).outage_logs) == 8
+        assert main(["simulate", "--scenario", str(write_tiny_bundle(tmp_path / "tiny")),
+                     "--out", str(tmp_path / "out"), "--workers", "4"]) == 0
 
     def test_invalid_scenario_raises(self):
         scenario = single_ngrid_scenario(repair_hours=-1.0)
