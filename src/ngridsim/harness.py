@@ -10,16 +10,20 @@ repair-time sweep points.
 
 The no-outage shadow (every n-Grid grid-tied all day) is outage-independent,
 so it is computed once per scenario and shared across replications and
-across the points of a repair-time sweep. It keeps each n-Grid's state
-before every hour and its hourly served load and PV. A replication
-re-dispatches only n-Grids on feeders that see an outage, and only from the
-feeder's first outage hour, starting from a copy of the shadow state there.
-After the feeder's last islanded hour it stops as soon as an n-Grid's state
-after a connected hour equals the shadow's state after that hour, field by
-field and exactly: from then on connected dispatch repeats the shadow, whose
-stored values fill the remaining hours. Each hour's fleet totals are summed
-in the same order as a from-hour-0 re-dispatch, so results are bit-identical
-to it.
+across the points of a repair-time sweep. It steps the whole fleet as one
+block with :func:`ngridsim.dispatch.step`, the struct-of-arrays dispatch
+kernel, and keeps each feeder's n-Grids as a block of their own: their
+arrays, their states before every hour, and their hourly served load and
+PV. A replication re-dispatches only feeders that see an outage, and only
+from the feeder's first outage hour, stepping the feeder's block from the
+shadow states there. After the feeder's last islanded hour it stops as soon
+as, after a connected hour, every n-Grid's state on the feeder equals the
+shadow's state after that hour, exactly: from then on connected dispatch
+repeats the shadow, whose stored values fill the remaining hours. An n-Grid
+that rejoined the shadow earlier is stepped on with its feeder and repeats
+the shadow's values bit for bit, because the same kernel computed them.
+Each hour's fleet totals are summed in the same order as a from-hour-0
+re-dispatch of one n-Grid after another, so results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispatch import (NGridState, PrechargePolicy, connected_step,
-                       initial_state, islanded_step, ramp_capacity)
+# The scalar steppers stay importable from here: bench/child.py's tracer
+# wraps harness.connected_step and harness.islanded_step by name.
+from .dispatch import connected_step, islanded_step  # noqa: F401
+from .dispatch import FleetArrays, FleetState, PrechargePolicy, ramp, step
 from .fleet import Fleet, validate_fleet
 from .sor import SorTable
 from .tables import ValidationError, write_table
@@ -175,77 +181,100 @@ def islanded_mask(events: list[OutageEvent], feeder_id: str, horizon: int) -> np
 
 @dataclass
 class _FeederShadow:
+    """One feeder's no-outage run. ``load_kw`` to ``rd_kw`` are its hourly
+    totals, summed in the feeder's listing order. The rest holds its n-Grids
+    in fleet order, as a replication steps them: their arrays, their
+    recharge target fractions ``(H, n)``, their states before every hour
+    (``states[h]``, with ``states[H]`` after the last hour) and their hourly
+    load, PV, ENS and spill ``(n, 4, H)``."""
+
     load_kw: np.ndarray
     pv_kw: np.ndarray
     ru_kw: np.ndarray
     rd_kw: np.ndarray
-
-
-@dataclass
-class _NGridShadow:
-    """One n-Grid's no-outage run. ``states[h]`` is its state before hour
-    ``h`` and ``states[H]`` its state after the last hour; replications
-    copy a snapshot before stepping it."""
-
-    states: list[NGridState]
-    served_load_kw: np.ndarray
-    pv_kw: np.ndarray
+    block: FleetArrays
+    frac: np.ndarray
+    states: FleetState
+    rows: np.ndarray
 
 
 @dataclass
 class _Shadow:
-    """The no-outage trajectory per feeder and n-Grid, and the fleet series it sums to."""
+    """The no-outage trajectory per feeder, and the fleet series it sums to."""
 
     per_feeder: dict[str, _FeederShadow]
-    per_ngrid: dict[str, _NGridShadow]
     baseline: FleetSeries
+
+
+# The series a replication re-dispatches, in the order of _FeederShadow.rows.
+_ROW_FIELDS = ("load_kw", "pv_kw", "ens_kw", "spilled_kw")
+
+
+def _fold(total: np.ndarray, rows) -> np.ndarray:
+    """``total`` plus each of ``rows`` in turn, so every element is summed
+    in row order."""
+    for row in rows:
+        total = total + row
+    return total
 
 
 def compute_shadow(scenario: Scenario) -> _Shadow:
     H = scenario.horizon
+    fleet = scenario.fleet
     policy = scenario.policy()
+
+    def per_row(value_at) -> np.ndarray:
+        """(H, N) from a value per (feeder, hour), computed once per feeder."""
+        by_feeder = {f: [value_at(f, h) for h in range(H)]
+                     for f in {ng.feeder_id for ng in fleet.ngrids}}
+        return np.array([by_feeder[ng.feeder_id] for ng in fleet.ngrids],
+                        dtype=float).reshape(-1, H).T.copy()
+
+    arrays = FleetArrays.build(fleet.ngrids, H)
+    frac = per_row(lambda f, h: policy.target_fraction(f, h, H))
+    history, flows = [arrays.initial_state()], []
+    for h in range(H):
+        out, state = step(arrays, history[-1], h, False, frac[h])
+        history.append(state)
+        flows.append(out)
+    states = FleetState(*map(np.stack, zip(*history)))
+    ru, rd = ramp(arrays, FleetState(*(a[1:] for a in states)),
+                  np.stack([f.bess_kw for f in flows]), np.stack([f.ev_kw for f in flows]),
+                  per_row(scenario.derate_at), scenario.sr_delivery_hours)
+    # (N, 4, H): each n-Grid's served load, PV, ramp-up and ramp-down.
+    rows = np.stack([np.stack([f.served for f in flows]).T, arrays.pv.T, ru.T, rd.T], axis=1)
+
+    row_of = {ng.id: r for r, ng in enumerate(fleet.ngrids)}
     per_feeder: dict[str, _FeederShadow] = {}
-    per_ngrid: dict[str, _NGridShadow] = {}
     baseline = FleetSeries.zeros(H)
-    for feeder in scenario.fleet.feeders:
-        fs = _FeederShadow(np.zeros(H), np.zeros(H), np.zeros(H), np.zeros(H))
-        for nid in feeder.ngrid_ids:
-            ngrid = scenario.fleet.ngrid(nid)
-            ns = _NGridShadow([], np.zeros(H), np.zeros(H))
-            state = initial_state(ngrid)
-            for h in range(H):
-                ns.states.append(state.copy())
-                outcome, state = connected_step(ngrid, state, h, policy)
-                ramp = ramp_capacity(ngrid, state, outcome,
-                                     scenario.sr_delivery_hours,
-                                     scenario.derate_at(feeder.id, h))
-                ns.served_load_kw[h] = outcome.served_load_kw
-                ns.pv_kw[h] = outcome.pv_kw
-                fs.load_kw[h] += outcome.served_load_kw
-                fs.pv_kw[h] += outcome.pv_kw
-                fs.ru_kw[h] += ramp.ru_kw
-                fs.rd_kw[h] += ramp.rd_kw
-            ns.states.append(state)
-            per_ngrid[nid] = ns
-        per_feeder[feeder.id] = fs
-        baseline.load_kw += fs.load_kw
-        baseline.pv_kw += fs.pv_kw
-        baseline.ru_total_kw += fs.ru_kw
-        baseline.rd_total_kw += fs.rd_kw
+    for feeder in fleet.feeders:
+        load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)),
+                                       (rows[row_of[nid]] for nid in feeder.ngrid_ids))
+        on = [r for r, ng in enumerate(fleet.ngrids) if ng.feeder_id == feeder.id]
+        feeder_rows = rows[on]
+        feeder_rows[:, 2:] = 0.0  # no ENS or spill while grid-tied
+        per_feeder[feeder.id] = _FeederShadow(
+            load, pv, ru_kw, rd_kw, arrays.take(on), frac[:, on],
+            FleetState(*(a[:, on] for a in states)), feeder_rows)
+        baseline.load_kw += load
+        baseline.pv_kw += pv
+        baseline.ru_total_kw += ru_kw
+        baseline.rd_total_kw += rd_kw
     baseline.ru_avail_kw += baseline.ru_total_kw
     baseline.rd_avail_kw += baseline.rd_total_kw
-    return _Shadow(per_feeder, per_ngrid, baseline)
+    return _Shadow(per_feeder, baseline)
 
 
 def run_replication(scenario: Scenario, replication_index: int,
                     shadow: _Shadow | None = None) -> tuple[FleetSeries, list[OutageEvent]]:
-    """Sample outages, dispatch the disturbed n-Grids, and return fleet
+    """Sample outages, dispatch the disturbed feeders, and return fleet
     totals plus the outage log for one replication.
 
     N-Grids on feeders with no outage this replication follow the shadow
-    exactly. An n-Grid on a disturbed feeder resumes from its shadow state
-    at the feeder's first outage hour and stops once it has rejoined the
-    shadow after the last one; every hour it skips takes its shadow values.
+    exactly. A disturbed feeder's n-Grids are stepped together from their
+    shadow states at the feeder's first outage hour, and stop once all of
+    them have rejoined the shadow after the last one; every hour they skip
+    takes its shadow values.
     """
     if shadow is None:
         shadow = compute_shadow(scenario)
@@ -257,7 +286,6 @@ def run_replication(scenario: Scenario, replication_index: int,
     series = FleetSeries.zeros(H)
     series.add_(shadow.baseline)
 
-    policy = scenario.policy()
     disturbed = sorted({ev.feeder_id for ev in events})
     for feeder_id in disturbed:
         fs = shadow.per_feeder[feeder_id]
@@ -270,32 +298,24 @@ def run_replication(scenario: Scenario, replication_index: int,
         series.rd_avail_kw -= np.where(mask, fs.rd_kw, 0.0)
         series.load_kw -= fs.load_kw
         series.pv_kw -= fs.pv_kw
-        for ngrid in scenario.fleet.ngrids_on(feeder_id):
-            ns = shadow.per_ngrid[ngrid.id]
-            load_kw = ns.served_load_kw.copy()
-            pv_kw = ns.pv_kw.copy()
-            ens_kw = np.zeros(H)
-            spilled_kw = np.zeros(H)
-            state = ns.states[first].copy()
-            for h in range(first, H):
-                if mask[h]:
-                    outcome, state = islanded_step(ngrid, state, h)
-                else:
-                    outcome, state = connected_step(ngrid, state, h, policy)
-                load_kw[h] = outcome.served_load_kw + outcome.ens_kw
-                pv_kw[h] = outcome.pv_kw
-                ens_kw[h] = outcome.ens_kw
-                spilled_kw[h] = outcome.spilled_kw
-                # Connected dispatch depends only on the state, so once the
-                # state is the shadow's, every later hour is the shadow's.
-                if h > last and state == ns.states[h + 1]:
-                    break
-            # One vector per n-Grid, in fleet order: each hour's sum keeps
-            # the order of a from-hour-0 re-dispatch.
-            series.load_kw += load_kw
-            series.pv_kw += pv_kw
-            series.ens_kw += ens_kw
-            series.spilled_kw += spilled_kw
+        rows = fs.rows.copy()
+        state = FleetState(*(a[first] for a in fs.states))
+        for h in range(first, H):
+            flows, state = step(fs.block, state, h, mask[h], fs.frac[h])
+            rows[:, 0, h] = flows.served + flows.ens
+            rows[:, 2, h] = flows.ens
+            rows[:, 3, h] = flows.spilled
+            # Connected dispatch depends only on the state, so once every
+            # row's state is the shadow's, every later hour is the shadow's.
+            # A row that rejoined earlier repeats the shadow's bits, since
+            # the same kernel computed the shadow.
+            if h > last and all(map(np.array_equal, state, (a[h + 1] for a in fs.states))):
+                break
+        # Rows are in fleet order, so each hour's sum keeps the order of a
+        # from-hour-0 re-dispatch of one n-Grid after another.
+        totals = _fold(np.stack([getattr(series, name) for name in _ROW_FIELDS]), rows)
+        for name, total in zip(_ROW_FIELDS, totals):
+            setattr(series, name, total)
     return series, events
 
 

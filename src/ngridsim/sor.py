@@ -339,6 +339,18 @@ def save_model(model: BoostedModel, path) -> None:
 
 def load_model(path) -> BoostedModel:
     where = "top level"  # the part being read, for error messages
+
+    def bad(name: str, expected: str, value) -> ValidationError:
+        return ValidationError(f"{path}: {where}: field {name!r} must be {expected}, "
+                               f"got {value!r}")
+
+    def number(obj: dict, name: str):
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise bad(name, "a finite number", value)
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -346,13 +358,23 @@ def load_model(path) -> BoostedModel:
             raise ValidationError(f"{path}: expected a JSON object at the top level")
         if (version := doc.get("format_version")) != MODEL_FORMAT_VERSION:
             raise ValidationError(f"{path}: unsupported model format version {version!r}")
-        base_score, learning_rate = doc["base_score"], doc["learning_rate"]
+        base_score, learning_rate = number(doc, "base_score"), number(doc, "learning_rate")
         stumps = []
         for i, s in enumerate(doc["stumps"]):
             where = f"stump #{i}"
-            stumps.append(Stump(feature=s["feature"], kind=s["kind"], threshold=s["threshold"],
-                                levels=tuple(s["levels"]) if s["levels"] is not None else None,
-                                left_value=s["left_value"], right_value=s["right_value"]))
+            kind, threshold, levels = s["kind"], s["threshold"], s["levels"]
+            if not isinstance(s["feature"], str):
+                raise bad("feature", "a string", s["feature"])
+            if kind == "numeric":
+                threshold = number(s, "threshold")
+            elif kind != "categorical":
+                raise bad("kind", "'numeric' or 'categorical'", kind)
+            elif not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
+                raise bad("levels", "a list of strings", levels)
+            stumps.append(Stump(feature=s["feature"], kind=kind, threshold=threshold,
+                                levels=tuple(levels) if levels is not None else None,
+                                left_value=number(s, "left_value"),
+                                right_value=number(s, "right_value")))
         return BoostedModel(base_score, learning_rate, tuple(stumps))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         kind = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "malformed JSON"

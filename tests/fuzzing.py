@@ -65,11 +65,13 @@ def random_islanded_case(rng: random.Random):
     return ngrid, state, hour
 
 
-def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int) -> Fleet:
+def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
+                 max_evs: int = 2) -> Fleet:
     """A small fleet of whole-day n-Grids: BESS and EVs with efficiencies
-    below 1 and power limits low enough that some never refill, EVs that
-    arrive mid-day, per-hour HVAC, and deferrable tasks. ``Fleet.ngrids`` is
-    shuffled, so fleet order differs from each feeder's listing order."""
+    below 1 and power limits low enough that some never refill, up to
+    ``max_evs`` EVs per n-Grid that arrive mid-day, per-hour HVAC, and
+    deferrable tasks. ``Fleet.ngrids`` is shuffled, so fleet order differs
+    from each feeder's listing order."""
     feeders, ngrids = [], []
     for f in range(n_feeders):
         ids = []
@@ -83,7 +85,7 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int) -> 
                                    eta_charge=rng.uniform(0.85, 1.0),
                                    eta_discharge=rng.uniform(0.85, 1.0))
             evs = []
-            for _ in range(rng.randrange(0, 3)):
+            for _ in range(rng.randrange(0, max_evs + 1)):
                 cap = rng.uniform(5.0, 60.0)
                 leave, back = rng.randrange(0, 12), rng.randrange(12, H)
                 evs.append(ElectricVehicle(

@@ -289,9 +289,14 @@ class TestSorCli:
         ("stump without kind", "stump #1: missing field 'kind'"),
         ("top-level list", "expected a JSON object"),
         ("malformed JSON", "malformed JSON"),
-    ], ids=["no-stumps", "no-kind", "list", "bad-json"])
+        ("null threshold", "stump #0: field 'threshold' must be a finite number, got None"),
+        ("misspelled kind", "stump #0: field 'kind' must be 'numeric' or 'categorical'"),
+        ("NaN leaf", "stump #2: field 'right_value' must be a finite number, got nan"),
+        ("numeric levels", "stump #1: field 'levels' must be a list of strings"),
+    ], ids=["no-stumps", "no-kind", "list", "bad-json", "null-threshold", "kind-Numeric",
+            "nan-leaf", "numeric-levels"])
     def test_malformed_model(self, tmp_path, capsys, fault, named):
-        """A bad model file ends in exit 1 naming the file and the field."""
+        """A bad model file ends in exit 1 naming the file, the stump and the field."""
         data = tmp_path / "train.csv"
         self.write_training_csv(data)
         model = tmp_path / "model.json"
@@ -299,10 +304,19 @@ class TestSorCli:
                      "--stumps", "3"]) == 0
         capsys.readouterr()
         doc = json.loads(model.read_text())
+        assert [s["kind"] for s in doc["stumps"]] == ["numeric"] * 3
         if fault == "no stumps":
             del doc["stumps"]
         elif fault == "stump without kind":
             del doc["stumps"][1]["kind"]
+        elif fault == "null threshold":
+            doc["stumps"][0]["threshold"] = None
+        elif fault == "misspelled kind":
+            doc["stumps"][0]["kind"] = "Numeric"
+        elif fault == "NaN leaf":
+            doc["stumps"][2]["right_value"] = float("nan")
+        elif fault == "numeric levels":
+            doc["stumps"][1].update(kind="categorical", threshold=None, levels=[1, 2])
         text = json.dumps([doc] if fault == "top-level list" else doc)
         model.write_text(text.replace('"', "'", 2) if fault == "malformed JSON" else text)
         assert main(["sor", "eval", "--model", str(model), "--data", str(data)]) == 1

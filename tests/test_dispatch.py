@@ -1,13 +1,16 @@
 import copy
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
-from ngridsim.dispatch import (DispatchOutcome, NGridState, PrechargePolicy,
-                               connected_step, initial_state, islanded_step,
-                               ramp_capacity, sr_capacity)
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, HourlyProfile,
-                            HvacAsset, NGrid, StorageUnit)
+from ngridsim.dispatch import (DispatchOutcome, FleetArrays, FleetState,
+                               NGridState, PrechargePolicy, connected_step,
+                               initial_state, islanded_step, ramp,
+                               ramp_capacity, sr_capacity, step)
+from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
+                            HvacAsset, NGrid, StorageUnit, validate_fleet)
 from ngridsim.sor import SorTable
 from fuzzing import (TOL, check_islanded_invariants, random_fleet,
                      random_islanded_case, snapshot_pre_dispatch)
@@ -325,3 +328,105 @@ class TestWholeHorizon:
                 assert task_kwh == pytest.approx(
                     sum(t.energy_kwh for t in ngrid.deferrables), abs=TOL)
                 assert state.deferred_energy_kwh == [0.0] * len(ngrid.deferrables)
+
+
+def with_signed_zeros(rng, fleet):
+    """``fleet`` with some inputs set to -0.0, which validation accepts: a
+    BESS's or EV's starting SoC, and load, PV and HVAC floor hours (half of
+    the zero-valued ones, a tenth of the others)."""
+    def flip(profile):
+        return HourlyProfile([-0.0 if rng.random() < (0.5 if v == 0.0 else 0.1) else v
+                              for v in profile.values])
+
+    ngrids = []
+    for ng in fleet.ngrids:
+        bess = ng.bess
+        if bess is not None and rng.random() < 0.3:
+            bess = dataclasses.replace(bess, soc_kwh=-0.0)
+        evs = tuple(dataclasses.replace(ev, soc_on_arrival_kwh=-0.0) if rng.random() < 0.3
+                    else ev for ev in ng.evs)
+        hvac = ng.hvac and HvacAsset(ng.hvac.p_normal_kw, flip(ng.hvac.p_min_kw))
+        ngrids.append(dataclasses.replace(ng, base_load=flip(ng.base_load), pv=flip(ng.pv),
+                                          bess=bess, evs=evs, hvac=hvac))
+    return Fleet(fleet.feeders, tuple(ngrids))
+
+
+def padded_bits(values, width):
+    """Bytes of ``values`` as float64, zero-padded to ``width`` slots."""
+    return np.array(list(values) + [0.0] * (width - len(values)), dtype=float).tobytes()
+
+
+class TestKernel:
+    """The block kernel repeats the scalar steppers bit for bit."""
+
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_fuzz_matches_scalar_steppers(self, precharge):
+        """Random 4-n-Grid days (0-3 EVs, 0-2 tasks, efficiencies below 1,
+        a BESS or HVAC sometimes missing, every other day with -0.0
+        inputs), islanded share from 0 to 1: every
+        hour's served load, ENS, spill, storage flows, state and, for
+        connected hours, the ramp over the whole day equal the scalar
+        steppers' by bytes; padding state slots stay +0.0."""
+        rng = random.Random(f"kernel-{precharge}")
+        for case in range(100):
+            fleet = random_fleet(rng, n_feeders=1, ngrids_per_feeder=4, max_evs=3)
+            if case % 2:
+                fleet = with_signed_zeros(rng, fleet)
+                assert validate_fleet(fleet, H) == []
+            n = len(fleet.ngrids)
+            share = case % 5 / 4  # islanded share: 0, 1/4, ..., 1
+            mask = [rng.random() < share for _ in range(H)]
+            policy = PrechargePolicy(mode=precharge,
+                                     sor=SorTable({("F0", h): rng.random() for h in range(H)}))
+            derate = np.array([[rng.uniform(0.5, 1.0)] * n for _ in range(H)])
+            delivery_hours = rng.choice([0.5, 1.0, 2.0])
+            arrays = FleetArrays.build(fleet.ngrids, H)
+            frac = np.array([[policy.target_fraction("F0", h, H)] * n for h in range(H)])
+            n_ev, n_task = arrays.ev_capacity.shape[1], arrays.task_energy.shape[1]
+
+            state, after, flows = arrays.initial_state(), [], []
+            for h in range(H):
+                out, state = step(arrays, state, h, mask[h], frac[h])
+                after.append(state)
+                flows.append(out)
+            ru, rd = ramp(arrays, FleetState(*map(np.stack, zip(*after))),
+                          np.stack([f.bess_kw for f in flows]),
+                          np.stack([f.ev_kw for f in flows]), derate, delivery_hours)
+
+            for r, ngrid in enumerate(fleet.ngrids):
+                scalar = initial_state(ngrid)
+                for h in range(H):
+                    if mask[h]:
+                        out, scalar = islanded_step(ngrid, scalar, h)
+                    else:
+                        out, scalar = connected_step(ngrid, scalar, h, policy)
+                    got, where = flows[h], (case, ngrid.id, h)
+                    for name, value in (("served", out.served_load_kw), ("ens", out.ens_kw),
+                                        ("spilled", out.spilled_kw), ("bess_kw", out.bess_kw)):
+                        assert getattr(got, name)[r].tobytes() == np.float64(value).tobytes(), \
+                            (where, name)
+                    assert got.ev_kw[r, :len(ngrid.evs)].tobytes() == \
+                        padded_bits(out.ev_kw_each, len(ngrid.evs)), where
+                    assert after[h].bess[r].tobytes() == np.float64(scalar.bess_soc_kwh).tobytes()
+                    assert after[h].ev[r].tobytes() == padded_bits(scalar.ev_soc_kwh, n_ev)
+                    assert after[h].tasks[r].tobytes() == \
+                        padded_bits(scalar.deferred_energy_kwh, n_task), where
+                    if not mask[h]:
+                        want = ramp_capacity(ngrid, scalar, out, delivery_hours, derate[h, r])
+                        assert ru[h, r].tobytes() == np.float64(want.ru_kw).tobytes(), where
+                        assert rd[h, r].tobytes() == np.float64(want.rd_kw).tobytes(), where
+
+    @pytest.mark.parametrize("part", ["bess", "ev", "tasks"])
+    def test_corrupt_state_names_ngrid(self, part):
+        ev = always_plugged_ev(capacity=10.0, p_max=2.0, soc=5.0)
+        task = DeferrableTask(energy_kwh=3.0, power_kw=1.0, earliest_hour=0, deadline_hour=23)
+        healthy = make_ngrid(base=1.0)
+        corrupt = NGrid(id="BAD", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
+                        pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 5.0),
+                        evs=(ev,), deferrables=(task,))
+        arrays = FleetArrays.build([healthy, corrupt], H)
+        state = arrays.initial_state()
+        getattr(state, part)[1] = -1.0
+        for islanded in (False, True):
+            with pytest.raises(ValueError, match="n-Grid 'BAD'"):
+                step(arrays, state, 0, islanded, np.ones(2))

@@ -10,6 +10,7 @@ import pytest
 from fuzzing import random_fleet
 from ngridsim import harness
 from ngridsim.cli import main
+from ngridsim.dispatch import connected_step, initial_state, islanded_step
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
@@ -153,19 +154,29 @@ class TestRunReplication:
 
 @pytest.fixture
 def step_log(monkeypatch):
-    """Records (n-Grid id, hour, connected) for every dispatch step the
-    harness makes through its module-level step names."""
+    """Records (n-Grid ids of the block, hour) for every kernel step the
+    harness makes through its module-level ``step``."""
     log = []
+    kernel = harness.step
 
-    def wrap(step, connected):
-        def counted(ngrid, state, hour, *rest):
-            log.append((ngrid.id, hour, connected))
-            return step(ngrid, state, hour, *rest)
-        return counted
+    def counted(block, state, hour, *rest):
+        log.append((block.ids, hour))
+        return kernel(block, state, hour, *rest)
 
-    monkeypatch.setattr(harness, "connected_step", wrap(harness.connected_step, True))
-    monkeypatch.setattr(harness, "islanded_step", wrap(harness.islanded_step, False))
+    monkeypatch.setattr(harness, "step", counted)
     return log
+
+
+def feeder_steps(step_log, fleet):
+    """Logged replication steps as (feeder id, hour); each block holds the
+    n-Grids of one feeder."""
+    feeder_of = {ng.id: ng.feeder_id for ng in fleet.ngrids}
+    steps = []
+    for ids, hour in step_log:
+        feeders = {feeder_of[nid] for nid in ids}
+        assert len(feeders) == 1, ids
+        steps.append((feeders.pop(), hour))
+    return steps
 
 
 class TestIncrementalReplication:
@@ -206,18 +217,21 @@ class TestIncrementalReplication:
                     seen["ends at hour 23"] |= last[ev.feeder_id] == H - 1
                 seen["several outages"] |= len(events) > len(last)
                 final = {}
-                for nid, hour, _ in step_log:
-                    final[nid] = max(final.get(nid, hour), hour)
-                for nid, hour in final.items():
-                    if last[scenario.fleet.ngrid(nid).feeder_id] < H - 2:
+                for feeder_id, hour in feeder_steps(step_log, scenario.fleet):
+                    final[feeder_id] = max(final.get(feeder_id, hour), hour)
+                for feeder_id, hour in final.items():
+                    if last[feeder_id] < H - 2:
                         seen["reconverged"] |= hour < H - 1
                         seen["never reconverged"] |= hour == H - 1
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("k", [0, 9, 23])
     def test_no_step_before_first_outage(self, k, step_log):
-        # N1 has a slow-charging BESS; N2 has no state at all, so it rejoins
-        # the shadow after its first connected hour.
+        """F1 is islanded from hour k for two hours (one when k = 23). N2
+        holds no state and rejoins the shadow after its first connected
+        hour; N1's BESS refills at 0.5 kW and rejoins one hour later. The
+        feeder is stepped from hour k up to the first hour after its outage
+        at which both match the shadow, and F2 is never stepped."""
         n1 = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
                    pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(10.0, 0.5, 10.0))
         n2 = NGrid(id="N2", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
@@ -227,14 +241,30 @@ class TestIncrementalReplication:
         fleet = Fleet(feeders=(Feeder("F1", ("N1", "N2")), Feeder("F2", ("N3",))),
                       ngrids=(n1, n2, n3))
         sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=1.0)
+        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
         shadow = compute_shadow(scenario)
         step_log.clear()
         run_replication(scenario, 0, shadow)
-        assert min(hour for nid, hour, _ in step_log if nid == "N1") == k
-        assert [(h, c) for nid, h, c in step_log if nid == "N2"] == \
-            [(k, False)] + ([(k + 1, True)] if k + 1 < H else [])
-        assert not any(nid == "N3" for nid, _, _ in step_log)
+
+        # The stopping hour, found with the scalar steppers alone.
+        last = min(k + 1, H - 1)
+        states = {ng.id: initial_state(ng) for ng in (n1, n2)}
+        shadow_states = {ng.id: initial_state(ng) for ng in (n1, n2)}
+        stop = H - 1
+        for h in range(H):
+            for ng in (n1, n2):
+                if k <= h <= last:
+                    _, states[ng.id] = islanded_step(ng, states[ng.id], h)
+                else:
+                    _, states[ng.id] = connected_step(ng, states[ng.id], h)
+                _, shadow_states[ng.id] = connected_step(ng, shadow_states[ng.id], h)
+            if h > last and states == shadow_states:
+                stop = h
+                break
+        assert stop == {0: 3, 9: 12, 23: 23}[k]
+        steps = feeder_steps(step_log, fleet)
+        assert [h for f, h in steps if f == "F1"] == list(range(k, stop + 1))
+        assert not any(f == "F2" for f, _ in steps)
 
 
 class TestRunSimulation:
@@ -276,6 +306,19 @@ class TestRunSimulation:
         assert len(run_simulation(scenario, workers=4).outage_logs) == 8
         assert main(["simulate", "--scenario", str(write_tiny_bundle(tmp_path / "tiny")),
                      "--out", str(tmp_path / "out"), "--workers", "4"]) == 0
+
+    def test_scalar_steppers_not_called(self, monkeypatch):
+        """Simulations and sweeps dispatch through the block kernel only."""
+        def refuse(*args):
+            raise AssertionError("scalar stepper called")
+
+        monkeypatch.setattr(harness, "connected_step", refuse)
+        monkeypatch.setattr(harness, "islanded_step", refuse)
+        sor = flat_sor(["F1"], p=0.3)
+        scenario = single_ngrid_scenario(sor=sor, replications=5, master_seed=3,
+                                         bess=StorageUnit(5.0, 1.0, 5.0))
+        assert sum(len(log) for log in run_simulation(scenario).outage_logs) > 0
+        assert len(sweep_reports(scenario, [1.0, 3.0])) == 2
 
     def test_invalid_scenario_raises(self):
         scenario = single_ngrid_scenario(repair_hours=-1.0)
