@@ -1,9 +1,6 @@
 """Nano-grid fleet simulator: outage risk scoring, Monte Carlo feeder
 outages, islanded dispatch, and reserve/ramp capacity accounting."""
 
-from .dispatch import (DispatchOutcome, NGridState, PrechargePolicy,
-                       RampCapacity, SrOffer, connected_step, initial_state,
-                       islanded_step, ramp_capacity, sr_capacity)
 from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                     HourlyProfile, HvacAsset, NGrid, StorageUnit, validate_fleet)
 from .harness import (FleetSeries, OutageEvent, Scenario, SimulationReport,

@@ -5,9 +5,9 @@ PV, optionally a stationary battery, one or more EVs with plug schedules, an
 adjustable HVAC load, and deferrable tasks. N-Grids hang off distribution
 feeders; a feeder fault islands every n-Grid on it.
 
-All values here are immutable after construction and safe to share across
-parallel replications. Mutable per-replication state lives in
-:mod:`ngridsim.dispatch`.
+All values here are immutable after construction, so one fleet serves
+every replication and sweep point. The evolving dispatch state (battery
+SoC, remaining task energy) lives in :class:`ngridsim.dispatch.FleetState`.
 """
 
 from __future__ import annotations
@@ -90,13 +90,6 @@ class ElectricVehicle:
 
     def __post_init__(self):
         object.__setattr__(self, "plug_hours", frozenset(self.plug_hours))
-
-    def plugged(self, hour: int) -> bool:
-        return hour in self.plug_hours
-
-    def arrives(self, hour: int) -> bool:
-        """True when this hour starts a contiguous plug interval."""
-        return hour in self.plug_hours and (hour - 1) not in self.plug_hours
 
     def check(self) -> list[str]:
         errs = self.battery.check()
@@ -182,22 +175,15 @@ class Fleet:
     def __post_init__(self):
         object.__setattr__(self, "feeders", tuple(self.feeders))
         object.__setattr__(self, "ngrids", tuple(self.ngrids))
-        # Lookup indexes; with duplicate ids (which validate_fleet reports)
+        # Lookup index; with duplicate ids (which validate_fleet reports)
         # the first n-Grid wins, as a scan in fleet order would find it.
         by_id: dict[str, NGrid] = {}
-        on_feeder: dict[str, list[NGrid]] = {}
         for ng in self.ngrids:
             by_id.setdefault(ng.id, ng)
-            on_feeder.setdefault(ng.feeder_id, []).append(ng)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_on_feeder", on_feeder)
 
     def ngrid(self, ngrid_id: str) -> NGrid:
         return self._by_id[ngrid_id]
-
-    def ngrids_on(self, feeder_id: str) -> list[NGrid]:
-        """N-Grids declaring ``feeder_id``, in fleet order."""
-        return list(self._on_feeder.get(feeder_id, ()))
 
 
 def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:

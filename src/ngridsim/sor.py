@@ -26,6 +26,15 @@ DEFAULT_MIN_LEAF_COUNT = 5
 _HESS_FLOOR = 1e-12
 
 
+def _sum_in_order(values) -> float:
+    """``values`` added left to right from 0.0: from Python 3.12 the built-in
+    ``sum`` compensates rounding, so the model would depend on the version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -142,8 +151,8 @@ def train(rows: list[FeatureRow],
         p = [sigmoid(v) for v in raw]
         resid = [labels[i] - p[i] for i in range(n)]
         hess = [max(p[i] * (1.0 - p[i]), _HESS_FLOOR) for i in range(n)]
-        total_r = sum(resid)
-        total_h = sum(hess)
+        total_r = _sum_in_order(resid)
+        total_h = _sum_in_order(hess)
         base_gain = total_r * total_r / n
 
         # best = (gain, feature, threshold_key, split description)
@@ -177,8 +186,8 @@ def train(rows: list[FeatureRow],
                 continue
             stats = []
             for level, members in groups.items():
-                s_r = sum(resid[i] for i in members)
-                s_h = sum(hess[i] for i in members)
+                s_r = _sum_in_order(resid[i] for i in members)
+                s_h = _sum_in_order(hess[i] for i in members)
                 stats.append((s_r / len(members), level, s_r, s_h, len(members)))
             stats.sort()  # by mean residual, then level name: deterministic
             sl_r = sl_h = 0.0

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import random
 
-from ngridsim.dispatch import NGridState
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                             HourlyProfile, HvacAsset, NGrid, StorageUnit)
 from oracles import power_balance_residual
+from scalar_dispatch import NGridState, arrives, plugged
 
 H = 24
 TOL = 1e-9
@@ -120,7 +120,7 @@ def snapshot_pre_dispatch(ngrid: NGrid, state: NGridState, hour: int):
     """SoC as the dispatcher sees it after EV arrival resets."""
     ev_soc = list(state.ev_soc_kwh)
     for i, ev in enumerate(ngrid.evs):
-        if ev.arrives(hour):
+        if arrives(ev, hour):
             ev_soc[i] = ev.soc_on_arrival_kwh
     return state.bess_soc_kwh, ev_soc
 
@@ -136,7 +136,7 @@ def check_islanded_invariants(ngrid, pre_bess_soc, pre_ev_soc, outcome, state):
         assert -TOL <= state.bess_soc_kwh <= ngrid.bess.capacity_kwh + TOL
     for i, ev in enumerate(ngrid.evs):
         assert -TOL <= state.ev_soc_kwh[i] <= ev.battery.capacity_kwh + TOL
-        if not ev.plugged(hour):
+        if not plugged(ev, hour):
             assert outcome.ev_kw_each[i] == 0.0, "unplugged EV exchanged power"
     assert abs(outcome.bess_kw) <= (ngrid.bess.p_max_kw if ngrid.bess else 0.0) + TOL
 
@@ -152,7 +152,7 @@ def check_islanded_invariants(ngrid, pre_bess_soc, pre_ev_soc, outcome, state):
 
     if -outcome.bess_kw > TOL:  # BESS charging
         for i, ev in enumerate(ngrid.evs):
-            if ev.plugged(hour):
+            if plugged(ev, hour):
                 assert -outcome.ev_kw_each[i] >= ev_charge_limit(i) - TOL, \
                     "BESS charged before EV saturated"
 
@@ -164,7 +164,7 @@ def check_islanded_invariants(ngrid, pre_bess_soc, pre_ev_soc, outcome, state):
             limit = min(b.p_max_kw, (b.capacity_kwh - pre_bess_soc) / b.eta_charge)
             assert -outcome.bess_kw >= limit - TOL, "HVAC restored before BESS saturated"
         for i, ev in enumerate(ngrid.evs):
-            if ev.plugged(hour):
+            if plugged(ev, hour):
                 assert -outcome.ev_kw_each[i] >= ev_charge_limit(i) - TOL, \
                     "HVAC restored before EV saturated"
     if outcome.deferrable_kw > TOL:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ngridsim.dispatch import connected_step, initial_state, islanded_step
 from ngridsim.harness import (FleetSeries, feeder_rng, islanded_mask,
                               sample_outages)
+from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
+                             islanded_step)
 
 
 def roc_auc_pairs(labels, scores):
@@ -66,7 +67,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
     series = FleetSeries.zeros(H)
     series.add_(shadow.baseline)
 
-    policy = scenario.policy()
+    policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
     disturbed = sorted({ev.feeder_id for ev in events})
     for feeder_id in disturbed:
         fs = shadow.per_feeder[feeder_id]
@@ -75,7 +76,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
         series.rd_avail_kw -= np.where(mask, fs.rd_kw, 0.0)
         series.load_kw -= fs.load_kw
         series.pv_kw -= fs.pv_kw
-        for ngrid in scenario.fleet.ngrids_on(feeder_id):
+        for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
             state = initial_state(ngrid)
             for h in range(H):
                 if mask[h]:

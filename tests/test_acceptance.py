@@ -14,7 +14,6 @@ import pytest
 
 from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
-from ngridsim.dispatch import islanded_step
 from ngridsim.fleet import Feeder, Fleet, HourlyProfile, NGrid, StorageUnit
 from ngridsim.harness import (Scenario, feeder_rng, run_replication,
                               run_simulation, sample_outages,
@@ -26,6 +25,7 @@ from ngridsim.sor import (FeatureRow, SorTable, evaluate, train,
 from fuzzing import (check_islanded_invariants, random_islanded_case,
                      snapshot_pre_dispatch)
 from oracles import prc_auc_steps, roc_auc_pairs
+from scalar_dispatch import islanded_step
 
 H = 24
 

@@ -1,20 +1,24 @@
+import ast
 import copy
 import dataclasses
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
-from ngridsim.dispatch import (DispatchOutcome, FleetArrays, FleetState,
-                               NGridState, PrechargePolicy, connected_step,
-                               initial_state, islanded_step, ramp,
-                               ramp_capacity, sr_capacity, step)
+import ngridsim
+from ngridsim import harness
+from ngridsim.dispatch import FleetArrays, FleetState, ramp, step
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
                             HvacAsset, NGrid, StorageUnit, validate_fleet)
 from ngridsim.sor import SorTable
 from fuzzing import (TOL, check_islanded_invariants, random_fleet,
                      random_islanded_case, snapshot_pre_dispatch)
 from oracles import power_balance_residual
+from scalar_dispatch import (DispatchOutcome, NGridState, PrechargePolicy, arrives,
+                             connected_step, initial_state, islanded_step,
+                             ramp_capacity, sr_capacity)
 
 H = 24
 
@@ -305,7 +309,7 @@ class TestWholeHorizon:
                 task_kwh = 0.0
                 for h in range(H):
                     for i, ev in enumerate(ngrid.evs):
-                        if ev.arrives(h):  # close the ledger, then reset
+                        if arrives(ev, h):  # close the ledger, then reset
                             assert state.ev_soc_kwh[i] - ev_start[i] == \
                                 pytest.approx(ev_flow[i], abs=TOL)
                             ev_start[i], ev_flow[i] = ev.soc_on_arrival_kwh, 0.0
@@ -430,3 +434,34 @@ class TestKernel:
         for islanded in (False, True):
             with pytest.raises(ValueError, match="n-Grid 'BAD'"):
                 step(arrays, state, 0, islanded, np.ones(2))
+
+
+# Names of the per-n-Grid dispatch path, which lives in tests/scalar_dispatch.py.
+SCALAR_NAMES = {"NGridState", "DispatchOutcome", "SrOffer", "RampCapacity", "PrechargePolicy",
+                "initial_state", "islanded_step", "connected_step", "_storage_sr",
+                "sr_capacity", "ramp_capacity", "_check_state", "_apply_ev_arrivals",
+                "_discharge_caps", "_charge_caps", "_sum", "_allocate"}
+
+
+def test_library_holds_one_dispatch_implementation():
+    """No library module defines or imports a name of the scalar dispatch
+    path, apart from the two placeholders in harness, and the package
+    exports none of them."""
+    found = []
+    for path in sorted(pathlib.Path(ngridsim.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                names = []
+            found += [(path.name, name) for name in names if name in SCALAR_NAMES]
+    assert found == [("harness.py", "connected_step"), ("harness.py", "islanded_step")]
+    assert not SCALAR_NAMES & set(dir(ngridsim))
+    assert harness.connected_step is not harness.islanded_step
+    for placeholder in (harness.connected_step, harness.islanded_step):
+        with pytest.raises(NotImplementedError, match="tests/scalar_dispatch.py"):
+            placeholder()

@@ -1,5 +1,6 @@
 import pytest
 
+from ngridsim.dispatch import FleetArrays
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                             HourlyProfile, HvacAsset, NGrid, StorageUnit,
                             validate_fleet)
@@ -28,11 +29,6 @@ class TestFleetLookups:
         fleet = Fleet(feeders=(Feeder("F1", ("N3", "N1")), Feeder("F2", ("N2",))),
                       ngrids=(a, b, c, dup))
         assert fleet.ngrid("N1") is a  # first in fleet order wins
-        assert fleet.ngrids_on("F1") == [a, c]  # fleet order, not feeder listing
-        assert fleet.ngrids_on("F2") == [b, dup]
-        assert fleet.ngrids_on("F9") == []
-        fleet.ngrids_on("F1").clear()
-        assert fleet.ngrids_on("F1") == [a, c]
         with pytest.raises(KeyError):
             fleet.ngrid("N9")
 
@@ -84,8 +80,11 @@ class TestEvPlugModel:
         ev = ElectricVehicle(battery=StorageUnit(60.0, 7.0, 30.0),
                              plug_hours=frozenset(range(0, 7)) | frozenset(range(19, 24)),
                              soc_on_arrival_kwh=30.0)
-        assert ev.arrives(0)
-        assert not ev.arrives(3)
-        assert ev.arrives(19)
-        assert not ev.arrives(20)
-        assert not ev.plugged(12)
+        arrays = FleetArrays.build([make_ngrid(evs=(ev,))], H)
+        arrives, plugged = arrays.arrives[:, 0, 0], arrays.plugged[:, 0, 0]
+        assert arrives[0]
+        assert not arrives[3]
+        assert arrives[19]
+        assert not arrives[20]
+        assert not plugged[12]
+        assert list(arrives.nonzero()[0]) == [0, 19]

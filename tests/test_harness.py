@@ -10,7 +10,6 @@ import pytest
 from fuzzing import random_fleet
 from ngridsim import harness
 from ngridsim.cli import main
-from ngridsim.dispatch import connected_step, initial_state, islanded_step
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
@@ -20,6 +19,7 @@ from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               validate_scenario)
 from ngridsim.sor import SorTable
 from oracles import replication_from_hour0
+from scalar_dispatch import connected_step, initial_state, islanded_step
 from test_cli import write_tiny_bundle
 
 H = 24

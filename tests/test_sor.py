@@ -73,6 +73,29 @@ class TestTrain:
         samples = [LabeledScore(r.label, score(model, r)) for r in rows]
         assert roc_auc(samples) == 1.0
 
+    def test_sums_add_left_to_right(self):
+        """Residual and hessian sums add in row order from 0.0, as Python
+        3.11's ``sum`` does and 3.12's compensated ``sum`` does not, so the
+        model's leaf values do not depend on the interpreter."""
+        rows = [FeatureRow("F1", i % 24, {}, {"c": "ab"[i % 2]}, label=int(i % 3 == 0))
+                for i in range(50)]
+        (stump,) = train(rows, n_stumps=1, min_leaf_count=1).stumps
+
+        def in_order(values):
+            total = 0.0
+            for v in values:
+                total += v
+            return total
+
+        prior = sum(r.label for r in rows) / len(rows)
+        p = sigmoid(math.log(prior / (1.0 - prior)))
+        resid = [r.label - p for r in rows]
+        hess = [p * (1.0 - p)] * len(rows)
+        left = [i for i, r in enumerate(rows) if r.categorical["c"] in stump.levels]
+        left_r, left_h = in_order(resid[i] for i in left), in_order(hess[i] for i in left)
+        assert stump.left_value == left_r / left_h
+        assert stump.right_value == (in_order(resid) - left_r) / (in_order(hess) - left_h)
+
 
 class TestScore:
     def test_empty_model_gives_half(self):
