@@ -119,12 +119,14 @@ def _cmd_sor(args) -> int:
     elif args.sor_command == "score":
         model = sor_engine.load_model(args.model)
         rows = sor_engine.load_feature_rows(args.data)
+        sor_engine.check_columns(model, rows, args.data)
         table = sor_engine.build_sor_table(model, rows)
         sor_engine.save_sor_table(table, args.out)
         print(f"scored {len(rows)} feeder-hours -> {args.out}")
     else:
         model = sor_engine.load_model(args.model)
         rows = sor_engine.load_feature_rows(args.data, require_label=True)
+        sor_engine.check_columns(model, rows, args.data)
         _print_metrics(sor_engine.evaluate(model, rows, args.threshold))
     return 0
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .metrics import LabeledScore, MetricReport, metric_report
 from .tables import ValidationError, read_table, write_table
@@ -26,20 +28,15 @@ DEFAULT_MIN_LEAF_COUNT = 5
 _HESS_FLOOR = 1e-12
 
 
-def _sum_in_order(values) -> float:
-    """``values`` added left to right from 0.0: from Python 3.12 the built-in
-    ``sum`` compensates rounding, so the model would depend on the version."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp``, ``math.log``) of each element: numpy's own
+    functions differ from the C library's in the last bit."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
-def sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(raw: np.ndarray) -> np.ndarray:
+    e = _libm(math.exp, -np.abs(raw))
+    return np.where(raw >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -65,15 +62,6 @@ class Stump:
     left_value: float
     right_value: float
 
-    def output(self, row: FeatureRow) -> float:
-        if self.kind == "numeric":
-            if self.feature not in row.numeric:
-                raise ValueError(f"row missing numeric feature {self.feature!r}")
-            return self.left_value if row.numeric[self.feature] < self.threshold else self.right_value
-        if self.feature not in row.categorical:
-            raise ValueError(f"row missing categorical feature {self.feature!r}")
-        return self.left_value if row.categorical[self.feature] in self.levels else self.right_value
-
 
 @dataclass(frozen=True)
 class BoostedModel:
@@ -81,21 +69,59 @@ class BoostedModel:
     learning_rate: float
     stumps: tuple[Stump, ...]
 
-    def raw_score(self, row: FeatureRow) -> float:
-        total = self.base_score
-        for stump in self.stumps:
-            total += self.learning_rate * stump.output(row)
-        return total
+
+def _column(rows: list[FeatureRow], name: str, kind: str):
+    """Feature ``name`` of every row: a float array or, for a categorical
+    feature, integer level codes and the ``{level: code}`` index."""
+    try:
+        if kind == "numeric":
+            return np.array([r.numeric[name] for r in rows], dtype=float)
+        index: dict[str, int] = {}
+        codes = [index.setdefault(r.categorical[name], len(index)) for r in rows]
+        return np.array(codes, dtype=np.intp), index
+    except KeyError:
+        raise ValueError(f"row missing {kind} feature {name!r}") from None
+
+
+def _stump_outputs(stump: Stump, column) -> np.ndarray:
+    """The stump's leaf value for each row of ``column`` (see ``_column``)."""
+    if stump.kind == "numeric":
+        left = column < stump.threshold
+    else:
+        codes, index = column
+        left = np.zeros(len(index), dtype=bool)
+        left[[index[v] for v in stump.levels if v in index]] = True
+        left = left[codes]
+    return np.where(left, stump.left_value, stump.right_value)
+
+
+def _raw_scores(model: BoostedModel, rows: list[FeatureRow]):
+    """Yield the raw scores of ``rows`` after the base score and after each
+    stump: one array, updated in place between yields."""
+    columns = {key: _column(rows, *key)
+               for key in dict.fromkeys((s.feature, s.kind) for s in model.stumps)}
+    raw = np.full(len(rows), float(model.base_score))
+    yield raw
+    for s in model.stumps:
+        raw += model.learning_rate * _stump_outputs(s, columns[s.feature, s.kind])
+        yield raw
+
+
+def _scores(model: BoostedModel, rows: list[FeatureRow]) -> list[float]:
+    *_, raw = _raw_scores(model, rows)
+    return _sigmoid(raw).tolist()
 
 
 def score(model: BoostedModel, row: FeatureRow) -> float:
     """Predicted outage probability, strictly inside (0, 1)."""
-    return sigmoid(model.raw_score(row))
+    return _scores(model, [row])[0]
 
 
 def _split_features(rows: list[FeatureRow]) -> tuple[list[str], list[str]]:
     numeric = sorted(rows[0].numeric)
     categorical = sorted(rows[0].categorical)
+    if both := sorted(set(numeric) & set(categorical)):
+        raise ValueError(f"feature {both[0]!r} is both numeric and categorical")
     for r in rows:
         if sorted(r.numeric) != numeric or sorted(r.categorical) != categorical:
             raise ValueError("inconsistent feature names across rows")
@@ -115,7 +141,13 @@ def train(rows: list[FeatureRow],
     probability), choosing the split with the largest squared-error reduction;
     leaf values are Newton steps (residual sum over hessian sum). Ties among
     equal-gain splits break to the lexicographically lowest feature name, then
-    the lowest threshold, so training is deterministic.
+    the lowest threshold or, for a categorical split, the lowest sorted tuple
+    of left levels, so training is deterministic.
+
+    Training works on numpy columns; its models are bit-for-bit those of the
+    per-row booster in ``tests/scalar_sor.py``, its test oracle, on any
+    interpreter: a stable presort; sums left to right (``np.cumsum``, never
+    the pairwise ``np.sum``); ``math.exp`` mapped over ``-|x|``, never ``np.exp``.
     """
     if len(rows) < 2:
         raise ValueError("training needs at least 2 rows")
@@ -132,122 +164,98 @@ def train(rows: list[FeatureRow],
     n = len(rows)
     prior = n_pos / n
     base = math.log(prior / (1.0 - prior))
-    raw = [base] * n
+    raw = np.full(n, base)
+    y = np.array(labels, dtype=float)
 
-    # Sort orders and level groupings are label-independent: compute once.
-    numeric_order = {
-        name: sorted(range(n), key=lambda i: rows[i].numeric[name])
-        for name in numeric_names
-    }
-    level_members: dict[str, dict[str, list[int]]] = {}
+    # Label-independent, so computed once: per numeric feature, the stable
+    # sort order, the valid splits k (between sorted rows k and k + 1) and
+    # their midpoint thresholds, ascending; per categorical, level members.
+    columns = {}
+    numeric = []
+    n_left = np.arange(1, n)
+    for name in numeric_names:
+        columns[name] = col = _column(rows, name, "numeric")
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        k = np.flatnonzero((v[:-1] != v[1:]) & (n_left >= min_leaf_count)
+                           & (n - n_left >= min_leaf_count))
+        if k.size:
+            numeric.append((name, order, k, (v[k] + v[k + 1]) / 2.0))
+    categorical = []
     for name in categorical_names:
-        groups: dict[str, list[int]] = {}
-        for i, r in enumerate(rows):
-            groups.setdefault(r.categorical[name], []).append(i)
-        level_members[name] = groups
+        columns[name] = codes, index = _column(rows, name, "categorical")
+        if len(index) >= 2:
+            categorical.append((name, list(index),
+                                [np.flatnonzero(codes == c) for c in range(len(index))]))
 
     stumps: list[Stump] = []
     for _ in range(n_stumps):
-        p = [sigmoid(v) for v in raw]
-        resid = [labels[i] - p[i] for i in range(n)]
-        hess = [max(p[i] * (1.0 - p[i]), _HESS_FLOOR) for i in range(n)]
-        total_r = _sum_in_order(resid)
-        total_h = _sum_in_order(hess)
+        p = _sigmoid(raw)
+        resid = y - p
+        hess = np.maximum(p * (1.0 - p), _HESS_FLOOR)
+        total_r = float(np.cumsum(resid)[-1])
+        total_h = float(np.cumsum(hess)[-1])
         base_gain = total_r * total_r / n
 
-        # best = (gain, feature, threshold_key, split description)
-        best = None
-        for name in numeric_names:
-            order = numeric_order[name]
-            vals = [rows[i].numeric[name] for i in order]
-            sl_r = sl_h = 0.0
-            for k in range(n - 1):
-                i = order[k]
-                sl_r += resid[i]
-                sl_h += hess[i]
-                if vals[k] == vals[k + 1]:
-                    continue
-                n_left = k + 1
-                n_right = n - n_left
-                if n_left < min_leaf_count or n_right < min_leaf_count:
-                    continue
-                sr_r = total_r - sl_r
-                gain = sl_r * sl_r / n_left + sr_r * sr_r / n_right - base_gain
-                thr = (vals[k] + vals[k + 1]) / 2.0
-                key = (-gain, name, thr)
-                if best is None or key < best[0]:
-                    sr_h = total_h - sl_h
-                    best = (key, Stump(name, "numeric", thr, None,
-                                       sl_r / max(sl_h, _HESS_FLOOR),
-                                       sr_r / max(sr_h, _HESS_FLOOR)))
-        for name in categorical_names:
-            groups = level_members[name]
-            if len(groups) < 2:
-                continue
+        best = None  # (key, stump) with key = (-gain, feature, threshold | levels)
+        for name, order, k, thresholds in numeric:
+            sl_r = np.cumsum(resid[order])[k]
+            sr_r = total_r - sl_r
+            gain = sl_r * sl_r / (k + 1) + sr_r * sr_r / (n - k - 1) - base_gain
+            j = int(np.argmax(gain))  # the first maximum: the lowest threshold
+            key = (-float(gain[j]), name, float(thresholds[j]))
+            if best is None or key < best[0]:
+                sl_h = float(np.cumsum(hess[order])[k[j]])
+                best = (key, Stump(name, "numeric", key[2], None,
+                                   float(sl_r[j]) / max(sl_h, _HESS_FLOOR),
+                                   float(sr_r[j]) / max(total_h - sl_h, _HESS_FLOOR)))
+        for name, levels, members in categorical:
             stats = []
-            for level, members in groups.items():
-                s_r = _sum_in_order(resid[i] for i in members)
-                s_h = _sum_in_order(hess[i] for i in members)
-                stats.append((s_r / len(members), level, s_r, s_h, len(members)))
+            for level, m in zip(levels, members):
+                s_r, s_h = float(np.cumsum(resid[m])[-1]), float(np.cumsum(hess[m])[-1])
+                stats.append((s_r / m.size, level, s_r, s_h, m.size))
             stats.sort()  # by mean residual, then level name: deterministic
-            sl_r = sl_h = 0.0
-            n_left = 0
-            left_levels: list[str] = []
-            for mean_r, level, s_r, s_h, count in stats[:-1]:
-                sl_r += s_r
-                sl_h += s_h
-                n_left += count
+            sl_r, sl_h, count_left, left_levels = 0.0, 0.0, 0, []
+            for _, level, s_r, s_h, count in stats[:-1]:
+                sl_r, sl_h, count_left = sl_r + s_r, sl_h + s_h, count_left + count
                 left_levels.append(level)
-                n_right = n - n_left
-                if n_left < min_leaf_count or n_right < min_leaf_count:
+                if min(count_left, n - count_left) < min_leaf_count:
                     continue
                 sr_r = total_r - sl_r
-                gain = sl_r * sl_r / n_left + sr_r * sr_r / n_right - base_gain
-                levels = tuple(sorted(left_levels))
-                key = (-gain, name, levels)
+                gain = sl_r * sl_r / count_left + sr_r * sr_r / (n - count_left) - base_gain
+                key = (-gain, name, tuple(sorted(left_levels)))
                 if best is None or key < best[0]:
-                    sr_h = total_h - sl_h
-                    best = (key, Stump(name, "categorical", None, levels,
+                    best = (key, Stump(name, "categorical", None, key[2],
                                        sl_r / max(sl_h, _HESS_FLOOR),
-                                       sr_r / max(sr_h, _HESS_FLOOR)))
+                                       sr_r / max(total_h - sl_h, _HESS_FLOOR)))
         if best is None:
             break  # no split satisfies the leaf-count constraint
         stump = best[1]
         stumps.append(stump)
-        for i, r in enumerate(rows):
-            raw[i] += learning_rate * stump.output(r)
+        raw += learning_rate * _stump_outputs(stump, columns[stump.feature])
 
     return BoostedModel(base_score=base, learning_rate=learning_rate, stumps=tuple(stumps))
 
 
 def training_loss_curve(rows: list[FeatureRow], model: BoostedModel) -> list[float]:
     """Mean logistic loss after each boosting stage (index 0 = prior only)."""
-    raw = [model.base_score] * len(rows)
-    labels = [r.label for r in rows]
-
-    def mean_loss():
-        total = 0.0
-        for y, v in zip(labels, raw):
-            p = min(max(sigmoid(v), 1e-15), 1.0 - 1e-15)
-            total += -(y * math.log(p) + (1 - y) * math.log(1.0 - p))
-        return total / len(rows)
-
-    curve = [mean_loss()]
-    for stump in model.stumps:
-        for i, r in enumerate(rows):
-            raw[i] += model.learning_rate * stump.output(r)
-        curve.append(mean_loss())
+    if any(r.label not in (0, 1) for r in rows):
+        raise ValueError("the loss curve needs labeled rows")
+    y = np.array([r.label for r in rows], dtype=float)
+    curve = []
+    for raw in _raw_scores(model, rows):
+        p = np.minimum(np.maximum(_sigmoid(raw), 1e-15), 1.0 - 1e-15)
+        loss = -(y * _libm(math.log, p) + (1.0 - y) * _libm(math.log, 1.0 - p))
+        curve.append(float(np.cumsum(loss)[-1]) / len(rows))
     return curve
 
 
 def evaluate(model: BoostedModel, rows: list[FeatureRow], threshold: float = 0.5) -> MetricReport:
     """Score labeled rows and compute the full metric report."""
-    samples = []
-    for r in rows:
-        if r.label not in (0, 1):
-            raise ValueError("evaluate needs labeled rows")
-        samples.append(LabeledScore(label=r.label, score=score(model, r)))
-    return metric_report(samples, threshold)
+    if any(r.label not in (0, 1) for r in rows):
+        raise ValueError("evaluate needs labeled rows")
+    return metric_report([LabeledScore(label=r.label, score=p)
+                          for r, p in zip(rows, _scores(model, rows))], threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +301,10 @@ def _validate_table(entries: dict[tuple[str, int], float]) -> SorTable:
 def build_sor_table(model: BoostedModel, rows: list[FeatureRow]) -> SorTable:
     """Score one unlabeled row per (feeder, hour) into a complete table."""
     entries: dict[tuple[str, int], float] = {}
-    for r in rows:
-        key = (r.feeder_id, r.hour)
-        if key in entries:
+    for r, p in zip(rows, _scores(model, rows)):
+        if (r.feeder_id, r.hour) in entries:
             raise ValueError(f"duplicate row for feeder {r.feeder_id!r} hour {r.hour}")
-        entries[key] = score(model, r)
+        entries[r.feeder_id, r.hour] = p
     if not entries:
         raise ValueError("no rows to score")
     return _validate_table(entries)
@@ -325,22 +332,9 @@ def save_sor_table(table: SorTable, path) -> None:
 # Model file I/O (versioned JSON)
 
 def save_model(model: BoostedModel, path) -> None:
-    doc = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "stumps": [
-            {
-                "feature": s.feature,
-                "kind": s.kind,
-                "threshold": s.threshold,
-                "levels": list(s.levels) if s.levels is not None else None,
-                "left_value": s.left_value,
-                "right_value": s.right_value,
-            }
-            for s in model.stumps
-        ],
-    }
+    doc = {"format_version": MODEL_FORMAT_VERSION, "base_score": model.base_score,
+           "learning_rate": model.learning_rate,
+           "stumps": [asdict(s) for s in model.stumps]}  # levels: a tuple, written as a list
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -411,16 +405,22 @@ def load_feature_rows(path, require_label: bool = False) -> list[FeatureRow]:
     required = ("feeder_id", "hour", "label") if require_label else ("feeder_id", "hour")
     rows: list[FeatureRow] = []
     for rec in read_table(path, required, _feature_type):
-        numeric: dict[str, float] = {}
-        categorical: dict[str, str] = {}
-        for col, value in rec.items():
-            if col.startswith("cat:"):
-                categorical[col[4:]] = value
-            elif col not in _KEY_TYPES:
-                numeric[col] = value
-        rows.append(FeatureRow(feeder_id=rec["feeder_id"], hour=rec["hour"],
-                               numeric=numeric, categorical=categorical,
-                               label=rec.get("label")))
+        rows.append(FeatureRow(
+            feeder_id=rec["feeder_id"], hour=rec["hour"], label=rec.get("label"),
+            numeric={c: v for c, v in rec.items() if c not in _KEY_TYPES and c[:4] != "cat:"},
+            categorical={c[4:]: v for c, v in rec.items() if c[:4] == "cat:"}))
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    if both := sorted(rows[0].numeric.keys() & rows[0].categorical.keys()):
+        raise ValidationError(f"{path}: columns {both[0]!r} and 'cat:{both[0]}' "
+                              f"name the same feature")
     return rows
+
+
+def check_columns(model: BoostedModel, rows: list[FeatureRow], path) -> None:
+    """Raise ValidationError naming ``path`` and the column when ``rows``, as
+    ``load_feature_rows`` read them from ``path``, lack a feature ``model`` uses."""
+    for s in model.stumps:
+        if s.feature not in (rows[0].numeric if s.kind == "numeric" else rows[0].categorical):
+            column = s.feature if s.kind == "numeric" else f"cat:{s.feature}"
+            raise ValidationError(f"{path}: no column {column!r}, which the model uses")

@@ -325,6 +325,37 @@ class TestSorCli:
         assert "model.json" in err and named in err
         assert "Traceback" not in err
 
+    def test_feature_named_twice(self, tmp_path, capsys):
+        """Columns ``gust`` and ``cat:gust`` both name feature ``gust``; here
+        they split the rows alike, so the two splits tie on gain."""
+        data = tmp_path / "train.csv"
+        data.write_text("feeder_id,hour,label,gust,cat:gust\n" + "".join(
+            f"F1,{h},{int(h % 2 == (h % 5 > 0))},{h % 2}.5,{'ab'[h % 2]}\n" for h in range(40)))
+        assert main(["sor", "train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--stumps", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "train.csv" in err and "'cat:gust'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_missing_feature_names_data_file(self, tmp_path, capsys, command):
+        """Data lacking a column the model uses: exit 1 naming file and column."""
+        self.write_training_csv(tmp_path / "train.csv")
+        model = tmp_path / "model.json"
+        assert main(["sor", "train", "--data", str(tmp_path / "train.csv"), "--out", str(model),
+                     "--stumps", "3"]) == 0
+        capsys.readouterr()
+        data = tmp_path / "holdout.csv"
+        data.write_text("feeder_id,hour,label,cat:season\n" + "".join(
+            f"F1,{h},{h % 2},winter\n" for h in range(24)))
+        argv = ["sor", command, "--model", str(model), "--data", str(data)]
+        assert main(argv + (["--out", str(tmp_path / "sor.csv")] if command == "score" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "holdout.csv" in err and "column 'gust'" in err
+        assert "Traceback" not in err
+
     def test_train_single_class_fails_validation(self, tmp_path):
         data = tmp_path / "train.csv"
         data.write_text("feeder_id,hour,label,gust\nF1,0,1,5.0\nF1,1,1,9.0\n")

@@ -1,14 +1,20 @@
 import math
+import os
 import random
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import scalar_sor
 from ngridsim.metrics import LabeledScore, roc_auc
 from ngridsim.sor import (BoostedModel, FeatureRow, SorTable, Stump,
-                          build_sor_table, evaluate, load_feature_rows,
-                          load_model, load_sor_table, save_model,
-                          save_sor_table, score, sigmoid, train,
+                          ValidationError, build_sor_table, evaluate,
+                          load_feature_rows, load_model, load_sor_table,
+                          save_model, save_sor_table, score, train,
                           training_loss_curve)
+from scalar_sor import sigmoid
 
 
 def separable_rows(n=100, seed=0, noise=0.0):
@@ -55,6 +61,12 @@ class TestTrain:
         curve = training_loss_curve(rows, model)
         assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
+    def test_loss_curve_needs_labels(self):
+        rows = separable_rows(20, seed=3)
+        model = train(rows, n_stumps=5)
+        with pytest.raises(ValueError, match="labeled"):
+            training_loss_curve(rows + [FeatureRow("F1", 0, {"x": 1.0})], model)
+
     def test_deterministic_round_trip(self):
         rows = separable_rows(80, seed=4, noise=0.1)
         m1 = train(rows, n_stumps=30)
@@ -74,12 +86,10 @@ class TestTrain:
         assert roc_auc(samples) == 1.0
 
     def test_sums_add_left_to_right(self):
-        """Residual and hessian sums add in row order from 0.0, as Python
-        3.11's ``sum`` does and 3.12's compensated ``sum`` does not, so the
-        model's leaf values do not depend on the interpreter."""
-        rows = [FeatureRow("F1", i % 24, {}, {"c": "ab"[i % 2]}, label=int(i % 3 == 0))
-                for i in range(50)]
-        (stump,) = train(rows, n_stumps=1, min_leaf_count=1).stumps
+        """Residual and hessian sums add left to right from 0.0: in row order
+        within a categorical level, and in stable sort order along a numeric
+        feature. Not pairwise, as ``np.sum`` adds, nor compensated, as Python
+        3.12's ``sum`` adds, so leaf values do not depend on the interpreter."""
 
         def in_order(values):
             total = 0.0
@@ -87,14 +97,127 @@ class TestTrain:
                 total += v
             return total
 
-        prior = sum(r.label for r in rows) / len(rows)
-        p = sigmoid(math.log(prior / (1.0 - prior)))
-        resid = [r.label - p for r in rows]
-        hess = [p * (1.0 - p)] * len(rows)
-        left = [i for i, r in enumerate(rows) if r.categorical["c"] in stump.levels]
-        left_r, left_h = in_order(resid[i] for i in left), in_order(hess[i] for i in left)
-        assert stump.left_value == left_r / left_h
-        assert stump.right_value == (in_order(resid) - left_r) / (in_order(hess) - left_h)
+        def check(rows, goes_left, order):
+            (stump,) = train(rows, n_stumps=1, min_leaf_count=1).stumps
+            prior = sum(r.label for r in rows) / len(rows)
+            p = sigmoid(math.log(prior / (1.0 - prior)))
+            resid = [r.label - p for r in rows]
+            hess = [p * (1.0 - p)] * len(rows)
+            left = [i for i in order if goes_left(stump, rows[i])]
+            left_r, left_h = in_order(resid[i] for i in left), in_order(hess[i] for i in left)
+            assert stump.left_value == left_r / left_h
+            assert stump.right_value == (in_order(resid) - left_r) / (in_order(hess) - left_h)
+            return left_r, [resid[i] for i in left], [resid[i] for i in sorted(left)]
+
+        rows = [FeatureRow("F1", i % 24, {}, {"c": "ab"[i % 2]}, label=int(i % 3 == 0))
+                for i in range(50)]
+        check(rows, lambda s, r: r.categorical["c"] in s.levels, range(len(rows)))
+
+        # Tied values, so the stable sort order is not row order; here the
+        # left sum in sort order differs from both the row-order sum and the
+        # pairwise sum of the same residuals.
+        rows = [FeatureRow("F1", i % 24, {"x": float(i * 5 % 8)}, label=int(i % 3 == 0))
+                for i in range(60)]
+        stable = sorted(range(len(rows)), key=lambda i: rows[i].numeric["x"])
+        left_r, in_sort, in_rows = check(rows, lambda s, r: r.numeric["x"] < s.threshold, stable)
+        assert len(in_sort) == 37
+        assert left_r != in_order(in_rows) and left_r != float(np.sum(in_sort))
+
+    def test_feature_both_numeric_and_categorical_rejected(self):
+        rows = [FeatureRow("F1", h, {"x": float(h)}, {"x": "ab"[h % 2]}, label=h % 2)
+                for h in range(10)]
+        with pytest.raises(ValueError, match="'x' is both numeric and categorical"):
+            train(rows, n_stumps=3)
+
+
+def model_bytes(model) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def oracle_rows(numeric, categorical, labels):
+    """One row per label, hour = row index; columns as name -> values."""
+    return [FeatureRow("F1", i, {k: v[i] for k, v in numeric.items()},
+                       {k: v[i] for k, v in categorical.items()}, label=y)
+            for i, y in enumerate(labels)]
+
+
+# Edge cases the oracle test always runs, as (rows, n_stumps, learning_rate,
+# min_leaf_count); TestOracle.test_edge_cases_reach_their_branch checks that
+# each reaches the branch it is named for.
+TWIN_COLUMNS = (oracle_rows({"b": [3.0, 1.0, 2.0, 1.0, 0.5, 4.0] * 3,
+                             "a": [3.0, 1.0, 2.0, 1.0, 0.5, 4.0] * 3},
+                            {}, [1, 0, 1, 0, 0, 1] * 3), 6, 0.3, 2)
+SATURATING = (oracle_rows({"x": [float(i) for i in range(12)]}, {},
+                          [int(i >= 6) for i in range(12)]), 40, 1.0, 1)
+NO_VALID_SPLIT = (oracle_rows({"x": [-0.0, 0.0, 1.0, 2.0, 1.0, -0.0]},
+                              {"k": ["p"] * 6}, [0, 1, 0, 1, 1, 0]), 5, 0.1, 4)
+# Levels by mean residual: b (-0.5), a (0.0), c (+0.5). Prefixes {b} and
+# {a, b} split the rows 4:8 and 8:4 with equal gain; ("a", "b") < ("b",).
+CATEGORICAL_TIE = (oracle_rows({}, {"k": list("bbbbaaaacccc")}, [0, 0, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1]),
+                   1, 0.1, 1)
+NO_STUMPS = (oracle_rows({"x": [1.0, 2.0, 3.0]}, {"k": ["p", "q", "p"]}, [0, 1, 1]), 0, 0.1, 1)
+
+VALUES = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0 + 2.0 ** -52, 2.0, -3.5]) | st.floats(-8.0, 8.0)
+
+
+@st.composite
+def boosting_cases(draw):
+    """Small mixed datasets: repeated, constant and signed-zero numeric
+    values, twin numeric columns, single-level categoricals, and leaf-count
+    limits up to the row count."""
+    n = draw(st.integers(2, 16))
+    numeric = {name: draw(st.lists(VALUES, min_size=n, max_size=n))
+               for name in draw(st.sets(st.sampled_from("cde"), max_size=3))}
+    if numeric and draw(st.booleans()):
+        numeric[draw(st.sampled_from("bf"))] = list(numeric[min(numeric)])
+    categorical = {}
+    for name in draw(st.sets(st.sampled_from("km"), max_size=2)):
+        levels = draw(st.sampled_from(["p", "pq", "pqr"]))
+        categorical[name] = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    if not numeric and not categorical:
+        numeric["c"] = draw(st.lists(VALUES, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+                  .filter(lambda ys: 0 < sum(ys) < len(ys)))
+    return (oracle_rows(numeric, categorical, labels), draw(st.integers(0, 8)),
+            draw(st.sampled_from([0.1, 0.3, 1.0])), draw(st.integers(1, n)))
+
+
+class TestOracle:
+    """The columnar booster against the per-row booster in scalar_sor.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=boosting_cases())
+    @example(case=TWIN_COLUMNS)
+    @example(case=SATURATING)
+    @example(case=NO_VALID_SPLIT)
+    @example(case=NO_STUMPS)
+    @example(case=CATEGORICAL_TIE)
+    def test_matches_per_row_booster(self, case):
+        rows, n_stumps, learning_rate, min_leaf_count = case
+        model = train(rows, n_stumps, learning_rate, min_leaf_count)
+        oracle = scalar_sor.train(rows, n_stumps, learning_rate, min_leaf_count)
+        assert model == oracle
+        assert model_bytes(model) == model_bytes(oracle)
+        want = [scalar_sor.score(oracle, r).hex() for r in rows]
+        assert [score(model, r).hex() for r in rows] == want
+        table = build_sor_table(model, rows)
+        assert [table.get(r.feeder_id, r.hour).hex() for r in rows] == want
+
+    def test_edge_cases_reach_their_branch(self):
+        model = train(*TWIN_COLUMNS)
+        assert model.stumps and {s.feature for s in model.stumps} == {"a"}
+        model = train(*SATURATING)
+        before_last = BoostedModel(model.base_score, model.learning_rate, model.stumps[:-1])
+        raw = [scalar_sor.raw_score(before_last, r) for r in SATURATING[0]]
+        assert max(map(abs, raw)) > 28.0  # p * (1 - p) < 1e-12: the hessian floor holds
+        assert train(*NO_VALID_SPLIT).stumps == ()
+        assert train(*NO_STUMPS).stumps == ()
+        (stump,) = train(*CATEGORICAL_TIE).stumps
+        assert stump.levels == ("a", "b")
 
 
 class TestScore:
@@ -230,6 +353,12 @@ class TestFeatureCsv:
         assert rows[0].numeric == {"gust": 22.5}
         assert rows[0].categorical == {"season": "winter"}
         assert rows[0].label == 1 and rows[1].label == 0
+
+    def test_feature_named_twice_rejected(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text("feeder_id,hour,label,gust,cat:gust\nF1,0,1,22.5,high\n")
+        with pytest.raises(ValidationError, match=r"train\.csv: columns 'gust' and 'cat:gust'"):
+            load_feature_rows(path, require_label=True)
 
     def test_label_required_when_asked(self, tmp_path):
         path = tmp_path / "score.csv"
