@@ -10,9 +10,9 @@ in-window hours, and recharge storage toward a fraction of capacity
 (:meth:`ngridsim.harness.Scenario.target_fraction`).
 
 :class:`FleetArrays` holds a block of n-Grids as struct-of-arrays, one row
-per n-Grid. :func:`step` advances every row by one hour, and :func:`ramp`
-takes ramp capacity for a whole grid-tied day at once. Each row repeats
-the float operations of the per-n-Grid steppers in
+per n-Grid. :func:`step` advances any set of its rows by one hour, and
+:func:`ramp` takes ramp capacity for a whole grid-tied day at once. Each
+row repeats the float operations of the per-n-Grid steppers in
 ``tests/scalar_dispatch.py``, the kernel's test oracle, in their order: a
 Python ``min``/``max`` becomes a ``where`` that keeps the same operand on
 ties and signed zeros, and a sum over EVs or tasks adds the slots in order
@@ -22,6 +22,7 @@ from 0.0. So each row equals the oracle bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -116,18 +117,14 @@ class FleetArrays:
             plugged=plugged, arrives=arrives, task_energy=task_energy, task_power=task_power,
             in_window=in_window, due=due)
 
-    def take(self, rows) -> "FleetArrays":
-        """A contiguous copy of the given rows, in the given order."""
-        return FleetArrays(ids=tuple(self.ids[r] for r in rows), **{
-            f.name: getattr(self, f.name)[:, rows] if f.name in _HOURLY
-            else getattr(self, f.name)[rows]
-            for f in fields(self) if f.name != "ids"})
-
     def initial_state(self) -> "FleetState":
         """Every row's starting state: BESS at its initial SoC, EVs at their
         arrival SoC and every deferrable task's energy still to serve."""
         return FleetState(self.bess_soc.copy(), self.ev_arrival_soc.copy(),
                           self.task_energy.copy())
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(FleetArrays) if f.name != "ids")  # step gathers
 
 
 class FleetState(NamedTuple):
@@ -181,16 +178,16 @@ def _allocate_rows(amount: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return np.where((total <= 0.0)[:, None], 0.0, alloc)
 
 
-def _check_rows(fa: FleetArrays, state: FleetState) -> None:
+def _check_rows(at, state: FleetState, ids, rows) -> None:
     """Every stored energy within [0, capacity] up to ``_EPS``; the error
-    names the first bad n-Grid."""
-    bess_ok = ~fa.has_bess | ((state.bess >= -_EPS) & (state.bess <= fa.bess_capacity + _EPS))
-    ev_ok = (state.ev >= -_EPS) & (state.ev <= fa.ev_capacity + _EPS)
-    task_ok = (state.tasks >= -_EPS) & (state.tasks <= fa.task_energy + _EPS)
+    names the first bad n-Grid of ``rows``, from the block's ``ids``."""
+    bess_ok = ~at.has_bess | ((state.bess >= -_EPS) & (state.bess <= at.bess_capacity + _EPS))
+    ev_ok = (state.ev >= -_EPS) & (state.ev <= at.ev_capacity + _EPS)
+    task_ok = (state.tasks >= -_EPS) & (state.tasks <= at.task_energy + _EPS)
     if bess_ok.all() and ev_ok.all() and task_ok.all():
         return
     r = int(np.flatnonzero(~(bess_ok & ev_ok.all(axis=1) & task_ok.all(axis=1)))[0])
-    name = fa.ids[r]
+    name = ids[rows[r]]
     if not bess_ok[r]:
         raise ValueError(f"n-Grid {name!r}: BESS SoC {float(state.bess[r])} out of bounds")
     bad_ev = np.flatnonzero(~ev_ok[r])
@@ -202,69 +199,74 @@ def _check_rows(fa: FleetArrays, state: FleetState) -> None:
 
 
 def step(fa: FleetArrays, state: FleetState, hour: int, islanded: bool,
-         frac: np.ndarray) -> tuple[Flows, FleetState]:
-    """One hour for every row of ``fa``: the islanded priority order when
-    ``islanded``, else grid-tied service and recharge toward each row's
-    target fraction ``frac`` (N,) of capacity. ``state`` is left unchanged."""
-    _check_rows(fa, state)
-    ev = np.where(fa.arrives[hour], fa.ev_arrival_soc, state.ev)
+         frac: np.ndarray, rows: np.ndarray | None = None) -> tuple[Flows, FleetState]:
+    """One hour for the ``rows`` of ``fa`` (an index array; every row by
+    default): the islanded priority order when ``islanded``, else grid-tied
+    service and recharge toward each row's target fraction ``frac`` of
+    capacity. ``state`` and ``frac`` hold the rows in the order of ``rows``,
+    as do the results; ``state`` is left unchanged."""
+    if rows is None:
+        rows = np.arange(len(fa.ids))
+    at = SimpleNamespace(**{
+        name: (getattr(fa, name)[hour] if name in _HOURLY else getattr(fa, name)).take(rows, 0)
+        for name in _ROW_FIELDS})
+    _check_rows(at, state, fa.ids, rows)
+    ev = np.where(at.arrives, at.ev_arrival_soc, state.ev)
     if islanded:
-        return _islanded_rows(fa, state.bess, ev, state.tasks.copy(), hour)
-    return _connected_rows(fa, state.bess, ev, state.tasks, hour, frac)
+        return _islanded_rows(at, state.bess, ev, state.tasks.copy())
+    return _connected_rows(at, state.bess, ev, state.tasks, frac)
 
 
-def _islanded_rows(fa, bess, ev, tasks, hour):
+def _islanded_rows(at, bess, ev, tasks):
     # A quantity that a row's branch does not touch is +0.0, and x - 0.0 == x
     # bit for bit, so only additions and selections need a row mask.
-    plugged = fa.plugged[hour]
-    hvac_min, hvac_normal = fa.hvac_min[hour], fa.hvac_normal[hour]
-    demand = fa.base_load[hour] + hvac_min
-    residual = demand - fa.pv[hour]
+    hvac_min, hvac_normal = at.hvac_min, at.hvac_normal
+    demand = at.base_load + hvac_min
+    residual = demand - at.pv
     deficit = residual >= 0.0
     surplus_rows = ~deficit
 
     # Deficit: BESS first, then plugged EVs; the remainder is unserved.
-    discharging = deficit & fa.has_bess & (residual > 0.0)
+    discharging = deficit & at.has_bess & (residual > 0.0)
     bess_kw = np.where(discharging,
-                       _min(residual, _min(fa.bess_p_max, bess * fa.bess_eta_d)), 0.0)
-    bess = bess - bess_kw / fa.bess_eta_d
+                       _min(residual, _min(at.bess_p_max, bess * at.bess_eta_d)), 0.0)
+    bess = bess - bess_kw / at.bess_eta_d
     residual = residual - bess_kw
-    caps = np.where(plugged, _min(fa.ev_p_max, ev * fa.ev_eta_d), 0.0)
+    caps = np.where(at.plugged, _min(at.ev_p_max, ev * at.ev_eta_d), 0.0)
     ev_kw = np.where((deficit & (residual > 0.0))[:, None], _allocate_rows(residual, caps), 0.0)
-    ev = ev - ev_kw / fa.ev_eta_d
+    ev = ev - ev_kw / at.ev_eta_d
     residual = residual - _slot_sum(ev_kw)
     ens = np.where(deficit, _max(residual, 0.0), 0.0)
     deficit_served = demand - ens
 
     # Surplus: EVs charge, then the BESS, then HVAC restores, then tasks run.
     surplus = -residual
-    caps = np.where(plugged, _min(fa.ev_p_max, (fa.ev_capacity - ev) / fa.ev_eta_c), 0.0)
+    caps = np.where(at.plugged, _min(at.ev_p_max, (at.ev_capacity - ev) / at.ev_eta_c), 0.0)
     ev_charge = np.where(surplus_rows[:, None], _allocate_rows(surplus, caps), 0.0)
-    ev = np.where(surplus_rows[:, None], ev + ev_charge * fa.ev_eta_c, ev)
+    ev = np.where(surplus_rows[:, None], ev + ev_charge * at.ev_eta_c, ev)
     surplus = surplus - _slot_sum(ev_charge)
-    charging = surplus_rows & fa.has_bess & (surplus > 0.0)
+    charging = surplus_rows & at.has_bess & (surplus > 0.0)
     charge = np.where(charging, _min(surplus, _min(
-        fa.bess_p_max, (fa.bess_capacity - bess) / fa.bess_eta_c)), 0.0)
-    bess = np.where(charging, bess + charge * fa.bess_eta_c, bess)
+        at.bess_p_max, (at.bess_capacity - bess) / at.bess_eta_c)), 0.0)
+    bess = np.where(charging, bess + charge * at.bess_eta_c, bess)
     surplus = surplus - charge
     restoring = surplus_rows & (surplus > 0.0) & (hvac_normal > hvac_min)
     restore = np.where(restoring, _min(surplus, hvac_normal - hvac_min), 0.0)
     hvac_kw = np.where(restoring, hvac_min + restore, hvac_min)
     surplus = surplus - restore
-    deferrable = np.zeros(len(fa.ids))
-    window, due = fa.in_window[hour], fa.due[hour]
+    deferrable = np.zeros(len(bess))
     for t in range(tasks.shape[1]):
         remaining = tasks[:, t]
-        serving = surplus_rows & (surplus > 0.0) & (remaining > 0.0) & window[:, t]
+        serving = surplus_rows & (surplus > 0.0) & (remaining > 0.0) & at.in_window[:, t]
         # A due task may take surplus beyond its rated power, so ENS and
         # spill never both occur.
-        cap = np.where(due[:, t], remaining, _min(fa.task_power[:, t], remaining))
+        cap = np.where(at.due[:, t], remaining, _min(at.task_power[:, t], remaining))
         serve = np.where(serving, _min(surplus, cap), 0.0)
         remaining = remaining - serve
         deferrable = deferrable + serve
         surplus = surplus - serve
         # Deadline shortfall: energy the task can no longer receive is unserved.
-        short = due[:, t] & (remaining > 0.0)
+        short = at.due[:, t] & (remaining > 0.0)
         ens = np.where(short, ens + remaining, ens)
         tasks[:, t] = np.where(short, 0.0, remaining)
     served = np.where(deficit, deficit_served, demand + hvac_kw - hvac_min + deferrable)
@@ -274,22 +276,22 @@ def _islanded_rows(fa, bess, ev, tasks, hour):
     return Flows(served, ens, spilled, bess_kw, ev_kw), FleetState(bess, ev, tasks)
 
 
-def _connected_rows(fa, bess, ev, tasks, hour, frac):
+def _connected_rows(at, bess, ev, tasks, frac):
     # Tasks run at their earliest in-window hours; the deadline clears the rest.
-    serving = (tasks > 0.0) & fa.in_window[hour]
-    serve = np.where(serving, np.where(fa.due[hour], tasks, _min(fa.task_power, tasks)), 0.0)
+    serving = (tasks > 0.0) & at.in_window
+    serve = np.where(serving, np.where(at.due, tasks, _min(at.task_power, tasks)), 0.0)
     tasks = tasks - serve
-    served = fa.base_load[hour] + fa.hvac_normal[hour] + _slot_sum(serve)
+    served = at.base_load + at.hvac_normal + _slot_sum(serve)
 
-    target = fa.bess_capacity * frac
-    charging = fa.has_bess & (target > bess)
-    charge = np.where(charging, _min(fa.bess_p_max, (target - bess) / fa.bess_eta_c), 0.0)
-    bess = np.where(charging, bess + charge * fa.bess_eta_c, bess)
-    target = fa.ev_capacity * frac[:, None]
-    charging = fa.plugged[hour] & (target > ev)
-    ev_charge = np.where(charging, _min(fa.ev_p_max, (target - ev) / fa.ev_eta_c), 0.0)
-    ev = np.where(charging, ev + ev_charge * fa.ev_eta_c, ev)
-    zeros = np.zeros(len(fa.ids))
+    target = at.bess_capacity * frac
+    charging = at.has_bess & (target > bess)
+    charge = np.where(charging, _min(at.bess_p_max, (target - bess) / at.bess_eta_c), 0.0)
+    bess = np.where(charging, bess + charge * at.bess_eta_c, bess)
+    target = at.ev_capacity * frac[:, None]
+    charging = at.plugged & (target > ev)
+    ev_charge = np.where(charging, _min(at.ev_p_max, (target - ev) / at.ev_eta_c), 0.0)
+    ev = np.where(charging, ev + ev_charge * at.ev_eta_c, ev)
+    zeros = np.zeros(len(bess))
     return (Flows(served, zeros, zeros, 0.0 - charge, 0.0 - ev_charge),
             FleetState(bess, ev, tasks))
 

@@ -8,22 +8,19 @@ uniform is pre-drawn per feeder-hour and the Bernoulli comparison is applied
 only while no outage is active, which keeps outage *starts* identical across
 repair-time sweep points.
 
-The no-outage shadow (every n-Grid grid-tied all day) is outage-independent,
-so it is computed once per scenario and shared across replications and
-across the points of a repair-time sweep. It steps the whole fleet as one
-block with :func:`ngridsim.dispatch.step`, the struct-of-arrays dispatch
-kernel, and keeps each feeder's n-Grids as a block of their own: their
-arrays, their states before every hour, and their hourly served load and
-PV. A replication re-dispatches only feeders that see an outage, and only
-from the feeder's first outage hour, stepping the feeder's block from the
-shadow states there. After the feeder's last islanded hour it stops as soon
-as, after a connected hour, every n-Grid's state on the feeder equals the
-shadow's state after that hour, exactly: from then on connected dispatch
-repeats the shadow, whose stored values fill the remaining hours. An n-Grid
-that rejoined the shadow earlier is stepped on with its feeder and repeats
-the shadow's values bit for bit, because the same kernel computed them.
-Each hour's fleet totals are summed in the same order as a from-hour-0
-re-dispatch of one n-Grid after another, so results are bit-identical to it.
+The no-outage shadow (the whole fleet grid-tied all day, stepped as one
+block by :func:`ngridsim.dispatch.step`) is computed once per scenario and
+shared by all replications and repair-time sweep points. Each feeder with
+an outage in a replication is a group of rows, one per n-Grid on it; groups
+queue into chunks of ``ROW_BUDGET`` rows, and a chunk is stepped hour by
+hour with at most two kernel calls an hour, one on its islanded rows and
+one on its connected rows. A group starts from the shadow's states at its
+first outage hour and, after its last islanded hour, drops out once every
+row's state equals the shadow's after a connected hour: the kernel computes
+each row on its own, so from then on connected dispatch repeats the shadow,
+whose values fill the hours a row is not stepped. Each hour's totals are
+summed in the order of a from-hour-0 re-dispatch of one n-Grid after
+another, so results are bit-identical to it, whatever the chunks.
 """
 
 from __future__ import annotations
@@ -134,17 +131,6 @@ class FleetSeries:
     rd_total_kw: np.ndarray
     rd_avail_kw: np.ndarray
 
-    @classmethod
-    def zeros(cls, horizon: int) -> "FleetSeries":
-        return cls(*(np.zeros(horizon) for _ in SERIES_FIELDS))
-
-    def add_(self, other: "FleetSeries") -> None:
-        for name in SERIES_FIELDS:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def scaled(self, factor: float) -> "FleetSeries":
-        return FleetSeries(*(getattr(self, name) * factor for name in SERIES_FIELDS))
-
 
 @dataclass
 class SimulationReport:
@@ -165,72 +151,59 @@ def feeder_rng(master_seed: int, replication_index: int, feeder_id: str) -> np.r
 
 def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
                    rng_for_feeder) -> list[OutageEvent]:
-    """Bernoulli scan per feeder-hour; new draws are suppressed while an
-    outage is active. ``rng_for_feeder`` maps a feeder id to its Generator.
-
-    One uniform is drawn for every hour up front, so the set of potential
-    start hours does not depend on the repair duration.
-    """
+    """Bernoulli draw per feeder-hour, suppressed while an outage is active;
+    ``rng_for_feeder`` maps a feeder id to its Generator. One uniform is
+    drawn for every hour up front, so the set of potential start hours
+    does not depend on the repair duration."""
     duration = max(1, math.ceil(repair_hours))
     events: list[OutageEvent] = []
-    for feeder_id in sor.feeder_ids:
+    for feeder_id, p in sor.by_feeder.items():
         u = rng_for_feeder(feeder_id).random(horizon)
         active_until = 0
-        for h in range(horizon):
-            if h < active_until:
-                continue
-            if u[h] < sor.get(feeder_id, h):
+        for h in np.flatnonzero(u < p[:horizon]).tolist():
+            if h >= active_until:
                 events.append(OutageEvent(feeder_id=feeder_id, start_hour=h,
                                           duration_hours=min(duration, horizon - h)))
                 active_until = h + duration
     return events
 
 
-def islanded_mask(events: list[OutageEvent], feeder_id: str, horizon: int) -> np.ndarray:
-    mask = np.zeros(horizon, dtype=bool)
+def islanded_masks(events: list[OutageEvent], horizon: int) -> list[tuple[str, np.ndarray]]:
+    """(feeder id, islanded hours) per disturbed feeder, in feeder id order."""
+    masks: dict[str, np.ndarray] = {}
     for ev in events:
-        if ev.feeder_id == feeder_id:
-            mask[ev.start_hour:ev.start_hour + ev.duration_hours] = True
-    return mask
-
-
-@dataclass
-class _FeederShadow:
-    """One feeder's no-outage run. ``load_kw`` to ``rd_kw`` are its hourly
-    totals, summed in the feeder's listing order. The rest holds its n-Grids
-    in fleet order, as a replication steps them: their arrays, their
-    recharge target fractions ``(H, n)``, their states before every hour
-    (``states[h]``, with ``states[H]`` after the last hour) and their hourly
-    load, PV, ENS and spill ``(n, 4, H)``."""
-
-    load_kw: np.ndarray
-    pv_kw: np.ndarray
-    ru_kw: np.ndarray
-    rd_kw: np.ndarray
-    block: FleetArrays
-    frac: np.ndarray
-    states: FleetState
-    rows: np.ndarray
+        masks.setdefault(ev.feeder_id, np.zeros(horizon, dtype=bool))[
+            ev.start_hour:ev.start_hour + ev.duration_hours] = True
+    return sorted(masks.items())
 
 
 @dataclass
 class _Shadow:
-    """The no-outage trajectory per feeder, and the fleet series it sums to."""
+    """The no-outage run, n-Grids in fleet order: arrays, recharge target
+    fractions ``(H, N)``, states before each hour (``states[H]`` after the
+    last) and served load, PV, ENS (0) and spill (0) ``rows`` ``(4, H, N)``.
+    Per feeder: its n-Grids' ``feeder_rows`` and its load, PV, ramp-up and
+    ramp-down ``totals`` ``(4, H)`` in listing order; ``baseline`` is the
+    fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order."""
 
-    per_feeder: dict[str, _FeederShadow]
-    baseline: FleetSeries
+    arrays: FleetArrays
+    frac: np.ndarray
+    states: FleetState
+    rows: np.ndarray
+    feeder_rows: dict[str, np.ndarray]
+    totals: dict[str, np.ndarray]
+    baseline: np.ndarray
 
 
-# The series a replication re-dispatches, in the order of _FeederShadow.rows.
-_ROW_FIELDS = ("load_kw", "pv_kw", "ens_kw", "spilled_kw")
+# A chunk takes (replication, disturbed feeder) groups until it holds this
+# many rows, so a kernel call holds fewer than it plus the largest feeder's.
+ROW_BUDGET = 2048
 
 
-def _fold(total: np.ndarray, rows) -> np.ndarray:
-    """``total`` plus each of ``rows`` in turn, so every element is summed
-    in row order."""
-    for row in rows:
-        total = total + row
-    return total
+def _fold(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``total`` plus each of ``rows`` along their last axis in turn, so
+    every element is summed in row order (``np.cumsum`` adds left to right)."""
+    return np.cumsum(np.concatenate([total[..., None], rows], axis=-1), axis=-1)[..., -1]
 
 
 def compute_shadow(scenario: Scenario) -> _Shadow:
@@ -255,82 +228,101 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     ru, rd = ramp(arrays, FleetState(*(a[1:] for a in states)),
                   np.stack([f.bess_kw for f in flows]), np.stack([f.ev_kw for f in flows]),
                   per_row(scenario.derate_at), scenario.sr_delivery_hours)
-    # (N, 4, H): each n-Grid's served load, PV, ramp-up and ramp-down.
-    rows = np.stack([np.stack([f.served for f in flows]).T, arrays.pv.T, ru.T, rd.T], axis=1)
+    # (4, H, N): each n-Grid's served load, PV, ramp-up and ramp-down.
+    rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
     row_of = {ng.id: r for r, ng in enumerate(fleet.ngrids)}
-    per_feeder: dict[str, _FeederShadow] = {}
-    baseline = FleetSeries.zeros(H)
-    for feeder in fleet.feeders:
-        load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)),
-                                       (rows[row_of[nid]] for nid in feeder.ngrid_ids))
-        on = [r for r, ng in enumerate(fleet.ngrids) if ng.feeder_id == feeder.id]
-        feeder_rows = rows[on]
-        feeder_rows[:, 2:] = 0.0  # no ENS or spill while grid-tied
-        per_feeder[feeder.id] = _FeederShadow(
-            load, pv, ru_kw, rd_kw, arrays.take(on), frac[:, on],
-            FleetState(*(a[:, on] for a in states)), feeder_rows)
-        baseline.load_kw += load
-        baseline.pv_kw += pv
-        baseline.ru_total_kw += ru_kw
-        baseline.rd_total_kw += rd_kw
-    baseline.ru_avail_kw += baseline.ru_total_kw
-    baseline.rd_avail_kw += baseline.rd_total_kw
-    return _Shadow(per_feeder, baseline)
+    totals = {f.id: _fold(np.zeros((4, H)), rows[..., [row_of[nid] for nid in f.ngrid_ids]])
+              for f in fleet.feeders}
+    feeder_rows = {f.id: np.array(sorted(map(row_of.get, f.ngrid_ids)), dtype=np.intp)
+                   for f in fleet.feeders}
+    rows[2:] = 0.0  # no ENS or spill while grid-tied
+    load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)), np.array(
+        list(totals.values())).reshape(-1, 4, H).transpose(1, 2, 0))
+    baseline = np.array([load, pv, *np.zeros((2, H)), ru_kw, ru_kw, rd_kw, rd_kw])
+    return _Shadow(arrays, frac, states, rows, feeder_rows, totals, baseline)
+
+
+def _step_chunk(shadow: _Shadow, chunk: list[tuple[np.ndarray, str, np.ndarray]]) -> None:
+    """Step the rows of every (replication's series, disturbed feeder,
+    islanded hours) group of ``chunk`` together, as the module docstring
+    describes, then fold each into its series (as _Shadow.baseline)."""
+    H = len(shadow.frac)
+    sizes = [len(shadow.feeder_rows[f]) for _, f, _ in chunk]
+    idx = np.concatenate([shadow.feeder_rows[f] for _, f, _ in chunk])
+    group = np.repeat(np.arange(len(chunk)), sizes)
+    masks = np.array([mask for _, _, mask in chunk])
+    first, last = masks.argmax(axis=1), H - 1 - masks[:, ::-1].argmax(axis=1)
+    islanded, start = masks[group], first[group]
+    state = FleetState(*(a[start, idx] for a in shadow.states))
+    out = shadow.rows.take(idx, 2)
+    done = np.zeros(len(chunk), dtype=bool)
+    for h in range(int(first.min()), H):
+        live = np.flatnonzero((start <= h) & ~done[group])
+        for mode in (True, False):
+            sel = live[islanded[live, h] == mode]
+            if sel.size:
+                flows, new = step(shadow.arrays, FleetState(*(a.take(sel, 0) for a in state)),
+                                  h, mode, shadow.frac[h].take(idx[sel]), idx[sel])
+                for a, b in zip(state, new):
+                    a[sel] = b
+                out[0, h, sel] = flows.served + flows.ens
+                out[2, h, sel] = flows.ens
+                out[3, h, sel] = flows.spilled
+        check = live[last[group[live]] < h]
+        same = (state.bess[check] == shadow.states.bess[h + 1].take(idx[check])) & (
+            (state.ev[check] == shadow.states.ev[h + 1].take(idx[check], 0)).all(axis=1)) & (
+            (state.tasks[check] == shadow.states.tasks[h + 1].take(idx[check], 0)).all(axis=1))
+        done[group[check]] = True
+        done[group[check[~same]]] = False
+        if done.all():
+            break
+    for (series, feeder_id, mask), rows in zip(chunk, np.split(out, np.cumsum(sizes)[:-1], 2)):
+        totals = shadow.totals[feeder_id]
+        # Islanded n-Grids deliver no ramp-up or ramp-down capacity (rows 5
+        # and 7); healthy-feeder contributions are identical in total and
+        # available series.
+        series[5::2] -= np.where(mask, totals[2:], 0.0)
+        series[:2] -= totals[:2]
+        # Rows are in fleet order, so each hour's sum keeps the order of a
+        # from-hour-0 re-dispatch of one n-Grid after another.
+        series[:4] = _fold(series[:4], rows)
+
+
+def _replications(scenario: Scenario, shadow: _Shadow, indices):
+    """(series, events) for each replication index in order, the series as
+    ``_Shadow.baseline``, once all its disturbed feeders are folded in."""
+    H = scenario.horizon
+    pending, chunk, queued = [], [], 0
+    for i in indices:
+        events = sample_outages(
+            scenario.sor, scenario.repair_hours, H,
+            lambda fid: feeder_rng(scenario.master_seed, i, fid))
+        series = shadow.baseline.copy()
+        pending.append((series, events))
+        for feeder_id, mask in islanded_masks(events, H):
+            chunk.append((series, feeder_id, mask))
+            queued += len(shadow.feeder_rows[feeder_id])
+            if queued >= ROW_BUDGET:
+                _step_chunk(shadow, chunk)
+                chunk, queued = [], 0
+        # Replications before the first one with a group still queued are whole.
+        while pending and not (chunk and pending[0][0] is chunk[0][0]):
+            yield pending.pop(0)
+    if chunk:
+        _step_chunk(shadow, chunk)
+    yield from pending
 
 
 def run_replication(scenario: Scenario, replication_index: int,
                     shadow: _Shadow | None = None) -> tuple[FleetSeries, list[OutageEvent]]:
     """Sample outages, dispatch the disturbed feeders, and return fleet
-    totals plus the outage log for one replication.
-
-    N-Grids on feeders with no outage this replication follow the shadow
-    exactly. A disturbed feeder's n-Grids are stepped together from their
-    shadow states at the feeder's first outage hour, and stop once all of
-    them have rejoined the shadow after the last one; every hour they skip
-    takes its shadow values.
-    """
+    totals plus the outage log for one replication: the path of
+    :func:`run_simulation` on a chunk of this replication alone."""
     if shadow is None:
         shadow = compute_shadow(scenario)
-    H = scenario.horizon
-    events = sample_outages(
-        scenario.sor, scenario.repair_hours, H,
-        lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
-
-    series = FleetSeries.zeros(H)
-    series.add_(shadow.baseline)
-
-    disturbed = sorted({ev.feeder_id for ev in events})
-    for feeder_id in disturbed:
-        fs = shadow.per_feeder[feeder_id]
-        mask = islanded_mask(events, feeder_id, H)
-        islanded_hours = np.flatnonzero(mask)
-        first, last = int(islanded_hours[0]), int(islanded_hours[-1])
-        # Islanded n-Grids deliver no ramp capacity; healthy-feeder
-        # contributions are identical in total and available series.
-        series.ru_avail_kw -= np.where(mask, fs.ru_kw, 0.0)
-        series.rd_avail_kw -= np.where(mask, fs.rd_kw, 0.0)
-        series.load_kw -= fs.load_kw
-        series.pv_kw -= fs.pv_kw
-        rows = fs.rows.copy()
-        state = FleetState(*(a[first] for a in fs.states))
-        for h in range(first, H):
-            flows, state = step(fs.block, state, h, mask[h], fs.frac[h])
-            rows[:, 0, h] = flows.served + flows.ens
-            rows[:, 2, h] = flows.ens
-            rows[:, 3, h] = flows.spilled
-            # Connected dispatch depends only on the state, so once every
-            # row's state is the shadow's, every later hour is the shadow's.
-            # A row that rejoined earlier repeats the shadow's bits, since
-            # the same kernel computed the shadow.
-            if h > last and all(map(np.array_equal, state, (a[h + 1] for a in fs.states))):
-                break
-        # Rows are in fleet order, so each hour's sum keeps the order of a
-        # from-hour-0 re-dispatch of one n-Grid after another.
-        totals = _fold(np.stack([getattr(series, name) for name in _ROW_FIELDS]), rows)
-        for name, total in zip(_ROW_FIELDS, totals):
-            setattr(series, name, total)
-    return series, events
+    series, events = next(_replications(scenario, shadow, [replication_index]))
+    return FleetSeries(*series), events
 
 
 def run_simulation(scenario: Scenario, workers: int | None = None,
@@ -338,26 +330,25 @@ def run_simulation(scenario: Scenario, workers: int | None = None,
     """Run all replications in index order, folding each into the running
     fleet totals as it finishes, and average the fleet series element-wise.
 
-    ``workers`` is accepted for compatibility and ignored: the replications
-    are short pure-Python work that threads do not speed up. A given
-    ``shadow`` must come from a scenario that differs from this one at most
-    in repair time, replication count and seed; with one, only the repair
-    time and the replication count are validated.
+    ``workers`` is accepted for compatibility and ignored: replications run
+    serially, in chunks. A given ``shadow`` must come from a scenario that
+    differs from this one at most in repair time, replication count and
+    seed; with one, only the repair time and the replication count are
+    validated.
     """
     problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
     if problems:
         raise ValidationError("; ".join(problems))
     if shadow is None:
         shadow = compute_shadow(scenario)
-    total = FleetSeries.zeros(scenario.horizon)
+    total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
     outage_logs, per_rep_ens, per_rep_spilled = [], [], []
-    for i in range(scenario.replications):
-        series, events = run_replication(scenario, i, shadow)
-        total.add_(series)
+    for series, events in _replications(scenario, shadow, range(scenario.replications)):
+        total += series
         outage_logs.append(events)
-        per_rep_ens.append(float(series.ens_kw.sum()) / 1000.0)
-        per_rep_spilled.append(float(series.spilled_kw.sum()) / 1000.0)
-    mean = total.scaled(1.0 / scenario.replications)
+        per_rep_ens.append(float(series[2].sum()) / 1000.0)
+        per_rep_spilled.append(float(series[3].sum()) / 1000.0)
+    mean = FleetSeries(*(total * (1.0 / scenario.replications)))
     return SimulationReport(
         mean_series=mean,
         total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,

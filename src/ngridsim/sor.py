@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -277,6 +278,12 @@ class SorTable:
     @property
     def horizon(self) -> int:
         return 1 + max(h for _, h in self.probabilities)
+
+    @cached_property
+    def by_feeder(self) -> dict[str, np.ndarray]:
+        """Each feeder's probabilities from hour 0, in feeder id order."""
+        return {f: np.array([self.get(f, h) for h in range(self.horizon)])
+                for f in self.feeder_ids}
 
     def check_complete(self, feeder_ids, horizon: int) -> None:
         for f in feeder_ids:

@@ -2,17 +2,19 @@
 
 These deliberately avoid the library's algorithms: ROC AUC by explicit pair
 counting, average precision by explicit threshold sweeps, power balance
-recomputed from the outcome fields alone, and a replication that
-re-dispatches every disturbed n-Grid from hour 0 instead of resuming from
-the shadow.
+recomputed from the outcome fields alone, outage sampling as a scan over
+every feeder-hour, and a replication that re-dispatches every disturbed
+n-Grid from hour 0 instead of resuming from the shadow.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ngridsim.harness import (FleetSeries, feeder_rng, islanded_mask,
-                              sample_outages)
+from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
+                              SimulationReport, feeder_rng, sample_outages)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step)
 
@@ -55,6 +57,24 @@ def power_balance_residual(outcome):
     return supply - use
 
 
+def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
+    """``harness.sample_outages`` as a scan over every feeder-hour, with one
+    table lookup per hour and the suppression test before the draw."""
+    duration = max(1, math.ceil(repair_hours))
+    events = []
+    for feeder_id in sor.feeder_ids:
+        u = rng_for_feeder(feeder_id).random(horizon)
+        active_until = 0
+        for h in range(horizon):
+            if h < active_until:
+                continue
+            if u[h] < sor.get(feeder_id, h):
+                events.append(OutageEvent(feeder_id=feeder_id, start_hour=h,
+                                          duration_hours=min(duration, horizon - h)))
+                active_until = h + duration
+    return events
+
+
 def replication_from_hour0(scenario, replication_index, shadow):
     """One replication with every n-Grid on a disturbed feeder dispatched
     from its initial state through every hour; returns (series, events)
@@ -64,18 +84,20 @@ def replication_from_hour0(scenario, replication_index, shadow):
         scenario.sor, scenario.repair_hours, H,
         lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
 
-    series = FleetSeries.zeros(H)
-    series.add_(shadow.baseline)
+    series = FleetSeries(*shadow.baseline.copy())
 
     policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
     disturbed = sorted({ev.feeder_id for ev in events})
     for feeder_id in disturbed:
-        fs = shadow.per_feeder[feeder_id]
-        mask = islanded_mask(events, feeder_id, H)
-        series.ru_avail_kw -= np.where(mask, fs.ru_kw, 0.0)
-        series.rd_avail_kw -= np.where(mask, fs.rd_kw, 0.0)
-        series.load_kw -= fs.load_kw
-        series.pv_kw -= fs.pv_kw
+        load, pv, ru_kw, rd_kw = shadow.totals[feeder_id]
+        mask = np.zeros(H, dtype=bool)
+        for ev in events:
+            if ev.feeder_id == feeder_id:
+                mask[ev.start_hour:ev.start_hour + ev.duration_hours] = True
+        series.ru_avail_kw -= np.where(mask, ru_kw, 0.0)
+        series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
+        series.load_kw -= load
+        series.pv_kw -= pv
         for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
             state = initial_state(ngrid)
             for h in range(H):
@@ -88,3 +110,21 @@ def replication_from_hour0(scenario, replication_index, shadow):
                 series.ens_kw[h] += outcome.ens_kw
                 series.spilled_kw[h] += outcome.spilled_kw
     return series, events
+
+
+def simulation_from_hour0(scenario, shadow):
+    """``harness.run_simulation``'s report from :func:`replication_from_hour0`
+    run for each replication in index order."""
+    total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
+    outage_logs, per_rep_ens, per_rep_spilled = [], [], []
+    for i in range(scenario.replications):
+        series, events = replication_from_hour0(scenario, i, shadow)
+        total += [getattr(series, name) for name in SERIES_FIELDS]
+        outage_logs.append(events)
+        per_rep_ens.append(float(series.ens_kw.sum()) / 1000.0)
+        per_rep_spilled.append(float(series.spilled_kw.sum()) / 1000.0)
+    mean = FleetSeries(*(total * (1.0 / scenario.replications)))
+    return SimulationReport(mean, float(mean.ens_kw.sum()) / 1000.0,
+                            float(mean.spilled_kw.sum()) / 1000.0,
+                            float(mean.ru_total_kw.max()), outage_logs,
+                            per_rep_ens, per_rep_spilled)

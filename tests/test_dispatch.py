@@ -9,7 +9,7 @@ import pytest
 
 import ngridsim
 from ngridsim import harness
-from ngridsim.dispatch import FleetArrays, FleetState, ramp, step
+from ngridsim.dispatch import FleetArrays, FleetState, Flows, ramp, step
 from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
                             HvacAsset, NGrid, StorageUnit, validate_fleet)
 from ngridsim.sor import SorTable
@@ -431,9 +431,33 @@ class TestKernel:
         arrays = FleetArrays.build([healthy, corrupt], H)
         state = arrays.initial_state()
         getattr(state, part)[1] = -1.0
+        alone = FleetState(*(a[1:] for a in state))
         for islanded in (False, True):
             with pytest.raises(ValueError, match="n-Grid 'BAD'"):
                 step(arrays, state, 0, islanded, np.ones(2))
+            with pytest.raises(ValueError, match="n-Grid 'BAD'"):
+                step(arrays, alone, 0, islanded, np.ones(1), np.array([1]))
+
+    def test_rows_step_as_in_the_whole_block(self):
+        """Any subset of a block's rows, in any order, steps to the bytes
+        the whole block gives those rows, islanded or connected."""
+        rng = random.Random("kernel-rows")
+        for case in range(40):
+            fleet = random_fleet(rng, n_feeders=2, ngrids_per_feeder=4, max_evs=3)
+            arrays = FleetArrays.build(fleet.ngrids, H)
+            n = len(fleet.ngrids)
+            frac = np.array([rng.random() for _ in range(n)])
+            state = arrays.initial_state()
+            for h in range(H):
+                islanded = rng.random() < 0.5
+                rows = np.array(rng.sample(range(n), rng.randint(1, n)))
+                flows, after = step(arrays, state, h, islanded, frac)
+                got = step(arrays, FleetState(*(a[rows] for a in state)), h, islanded,
+                           frac[rows], rows)
+                for name, part, whole in zip(Flows._fields + FleetState._fields,
+                                             got[0] + got[1], flows + after):
+                    assert part.tobytes() == whole[rows].tobytes(), (case, h, name)
+                state = after
 
 
 # Names of the per-n-Grid dispatch path, which lives in tests/scalar_dispatch.py.

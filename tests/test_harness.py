@@ -10,15 +10,17 @@ import pytest
 from fuzzing import random_fleet
 from ngridsim import harness
 from ngridsim.cli import main
-from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit)
+from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit,
+                            validate_fleet)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
-                              emit_report, feeder_rng, islanded_mask,
+                              emit_report, feeder_rng, islanded_masks,
                               run_replication, run_simulation, sample_outages,
                               sweep_repair_time, sweep_reports,
                               validate_scenario)
 from ngridsim.sor import SorTable
-from oracles import replication_from_hour0
+from oracles import (replication_from_hour0, sample_outages_scan,
+                     simulation_from_hour0)
 from scalar_dispatch import connected_step, initial_state, islanded_step
 from test_cli import write_tiny_bundle
 
@@ -83,6 +85,29 @@ class TestSampleOutages:
                     firsts.setdefault(f, set()).add(starts[0] if starts else None)
             assert all(len(v) == 1 for v in firsts.values())
 
+    @pytest.mark.parametrize("repair", [0.5, 1.0, 2.5, 24.0, 30.5])
+    def test_matches_scan_oracle(self, repair):
+        """Random tables mixing certain, impossible and random hours: the
+        same events in the same order as a scan over every feeder-hour,
+        also over a horizon shorter than the table's."""
+        rng = random.Random(f"outages-{repair}")
+        seen_hour_23 = False
+        for case in range(40):
+            feeders = [f"F{k}" for k in rng.sample(range(20), rng.randint(1, 5))]
+            entries = {(f, h): rng.choice([0.0, 1.0, 0.5 * rng.random()])
+                       for f in feeders for h in range(H)}
+            if case % 4 == 0:  # the first feeder fails at hour 23 only
+                entries.update({(feeders[0], h): float(h == H - 1) for h in range(H)})
+            sor = SorTable(entries)
+            for rep in range(3):
+                for horizon in (H, H - 5):
+                    got = sample_outages(sor, repair, horizon, self.rng_factory(case, rep))
+                    want = sample_outages_scan(sor, repair, horizon,
+                                               self.rng_factory(case, rep))
+                    assert got == want, (case, rep, horizon)
+                    seen_hour_23 |= any(ev.start_hour == H - 1 for ev in got)
+        assert seen_hour_23
+
     def test_empirical_frequency(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 0.3})
         hits = 0
@@ -91,6 +116,18 @@ class TestSampleOutages:
             events = sample_outages(sor, 1.0, H, self.rng_factory(seed=99, rep=rep))
             hits += any(e.start_hour == 0 for e in events)
         assert 0.286 <= hits / n <= 0.314  # 3-sigma binomial band around 0.3
+
+
+def test_islanded_masks():
+    """One mask per disturbed feeder, in feeder id order, covering each of
+    its outages."""
+    events = [OutageEvent("F2", 3, 2), OutageEvent("F10", 23, 1),
+              OutageEvent("F2", 10, 3), OutageEvent("F1", 0, 24)]
+    masks = islanded_masks(events, H)
+    assert [f for f, _ in masks] == ["F1", "F10", "F2"]
+    assert [np.flatnonzero(mask).tolist() for _, mask in masks] == \
+        [list(range(H)), [23], [3, 4, 10, 11, 12]]
+    assert islanded_masks([], H) == []
 
 
 class TestRunReplication:
@@ -151,32 +188,52 @@ class TestRunReplication:
             if h != 5:
                 assert series.ru_avail_kw[h] == series.ru_total_kw[h]
 
+    def test_feeder_without_ngrids(self):
+        """A feeder with no n-Grids can fail, alone in a chunk or with
+        others, and its outages change no series."""
+        ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
+                   pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(5.0, 1.0, 5.0))
+        fleet = Fleet(feeders=(Feeder("F1", ("N1",)), Feeder("F2", ())), ngrids=(ng,))
+        assert validate_fleet(fleet, H) == []
+        for f1_fails in (False, True):
+            overrides = {("F2", 3): 1.0, ("F1", 5): float(f1_fails)}
+            scenario = Scenario(fleet=fleet, sor=flat_sor(["F1", "F2"], overrides=overrides),
+                                horizon=H, repair_hours=2.0)
+            shadow = compute_shadow(scenario)
+            got, events = run_replication(scenario, 0, shadow)
+            want, want_events = replication_from_hour0(scenario, 0, shadow)
+            assert events == want_events == \
+                [OutageEvent("F1", 5, 2)] * f1_fails + [OutageEvent("F2", 3, 2)]
+            for name in SERIES_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
 
 @pytest.fixture
 def step_log(monkeypatch):
-    """Records (n-Grid ids of the block, hour) for every kernel step the
-    harness makes through its module-level ``step``."""
+    """Records (n-Grid ids of the stepped rows, hour, islanded) for every
+    kernel step the harness makes through its module-level ``step``."""
     log = []
     kernel = harness.step
 
-    def counted(block, state, hour, *rest):
-        log.append((block.ids, hour))
-        return kernel(block, state, hour, *rest)
+    def counted(block, state, hour, islanded, frac, rows=None):
+        log.append((block.ids if rows is None else tuple(block.ids[r] for r in rows),
+                    hour, islanded))
+        return kernel(block, state, hour, islanded, frac, rows)
 
     monkeypatch.setattr(harness, "step", counted)
     return log
 
 
-def feeder_steps(step_log, fleet):
-    """Logged replication steps as (feeder id, hour); each block holds the
-    n-Grids of one feeder."""
-    feeder_of = {ng.id: ng.feeder_id for ng in fleet.ngrids}
-    steps = []
-    for ids, hour in step_log:
-        feeders = {feeder_of[nid] for nid in ids}
-        assert len(feeders) == 1, ids
-        steps.append((feeders.pop(), hour))
-    return steps
+def ngrid_hours(step_log):
+    """The hours each logged n-Grid was stepped at, in call order; no
+    n-Grid is stepped twice in one hour."""
+    hours = {}
+    for ids, hour, _ in step_log:
+        for nid in ids:
+            hours.setdefault(nid, []).append(hour)
+    for nid, stepped in hours.items():
+        assert len(set(stepped)) == len(stepped), (nid, stepped)
+    return hours
 
 
 class TestIncrementalReplication:
@@ -216,13 +273,22 @@ class TestIncrementalReplication:
                     last[ev.feeder_id] = ev.start_hour + ev.duration_hours - 1
                     seen["ends at hour 23"] |= last[ev.feeder_id] == H - 1
                 seen["several outages"] |= len(events) > len(last)
-                final = {}
-                for feeder_id, hour in feeder_steps(step_log, scenario.fleet):
-                    final[feeder_id] = max(final.get(feeder_id, hour), hour)
-                for feeder_id, hour in final.items():
-                    if last[feeder_id] < H - 2:
-                        seen["reconverged"] |= hour < H - 1
-                        seen["never reconverged"] |= hour == H - 1
+                # Every n-Grid of a disturbed feeder is stepped at the same
+                # run of hours, from the feeder's first outage hour on; no
+                # other n-Grid is stepped.
+                hours = ngrid_hours(step_log)
+                first = {ev.feeder_id: ev.start_hour for ev in reversed(events)}
+                for feeder in scenario.fleet.feeders:
+                    stepped = [hours.pop(nid, []) for nid in feeder.ngrid_ids]
+                    if feeder.id not in first:
+                        assert stepped == [[]] * len(stepped), (seed, rep, feeder.id)
+                        continue
+                    final = max(stepped[0])
+                    assert stepped == [list(range(first[feeder.id], final + 1))] * len(stepped)
+                    if last[feeder.id] < H - 2:
+                        seen["reconverged"] |= final < H - 1
+                        seen["never reconverged"] |= final == H - 1
+                assert hours == {}
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("k", [0, 9, 23])
@@ -262,9 +328,147 @@ class TestIncrementalReplication:
                 stop = h
                 break
         assert stop == {0: 3, 9: 12, 23: 23}[k]
-        steps = feeder_steps(step_log, fleet)
-        assert [h for f, h in steps if f == "F1"] == list(range(k, stop + 1))
-        assert not any(f == "F2" for f, _ in steps)
+        hours = ngrid_hours(step_log)
+        assert hours == {"N1": list(range(k, stop + 1)), "N2": list(range(k, stop + 1))}
+
+
+def assert_same_report(got, want):
+    """Every series, total, outage log and per-replication figure, by bytes."""
+    for name in SERIES_FIELDS:
+        assert getattr(got.mean_series, name).tobytes() == \
+            getattr(want.mean_series, name).tobytes(), name
+    for name in ("total_ens_mwh", "total_spilled_mwh", "max_ru_total_kw"):
+        assert np.float64(getattr(got, name)).tobytes() == \
+            np.float64(getattr(want, name)).tobytes(), name
+    assert got.outage_logs == want.outage_logs
+    for name in ("per_rep_ens_mwh", "per_rep_spilled_mwh"):
+        assert np.array(getattr(got, name)).tobytes() == \
+            np.array(getattr(want, name)).tobytes(), name
+
+
+@pytest.fixture
+def chunk_log(monkeypatch, step_log):
+    """``step_log`` with a ("chunk", groups) entry before the kernel steps
+    of each chunk, ``groups`` being its (replication's series, feeder id)
+    pairs; the log keeps each series alive, so their ids stay distinct."""
+    stepper = harness._step_chunk
+
+    def logged(shadow, chunk):
+        if chunk:
+            step_log.append(("chunk", [(series, f) for series, f, _ in chunk]))
+        return stepper(shadow, chunk)
+
+    monkeypatch.setattr(harness, "_step_chunk", logged)
+    return step_log
+
+
+def chunks(log):
+    """The logged chunks as (groups, kernel calls) pairs."""
+    found = []
+    for entry in log:
+        if entry[0] == "chunk":
+            found.append((entry[1], []))
+        else:
+            found[-1][1].append(entry)
+    return found
+
+
+class TestChunks:
+    """Replications stepped in chunks of (replication, disturbed feeder)
+    groups give the report of one re-dispatch from hour 0 per replication,
+    whatever the row budget."""
+
+    @staticmethod
+    def sparse_scenario(seed, n_feeders, per_feeder, replications, precharge, starts=1.0):
+        """About ``starts`` outage starts per replication, so that with one
+        some replications have none; F0 fails at hour 23 half the time."""
+        rng = random.Random(seed)
+        fleet = random_fleet(rng, n_feeders=n_feeders, ngrids_per_feeder=per_feeder)
+        entries = {(f.id, h): rng.uniform(0.0, 2.0 * starts / (n_feeders * H))
+                   for f in fleet.feeders for h in range(H)}
+        entries[("F0", H - 1)] = 0.5
+        return Scenario(fleet=fleet, sor=SorTable(entries), horizon=H,
+                        repair_hours=rng.choice([1.0, 2.5, 4.0]),
+                        replications=replications, master_seed=seed, precharge=precharge)
+
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_budget_changes_no_bit(self, precharge, monkeypatch, chunk_log):
+        """Row budgets from one row, through one feeder's rows, to the whole
+        run in one chunk: reports equal by bytes, and every chunk steps
+        each hour with at most one islanded and one connected call of
+        fewer than the budget plus one feeder's rows."""
+        seen = {"chunk of one replication": False, "chunk of several replications": False,
+                "replication over several chunks": False, "replication with no outage": False}
+        n = 3  # rows per feeder
+        for seed in range(3):
+            scenario = self.sparse_scenario(seed, 4, n, 16, precharge)
+            shadow = compute_shadow(scenario)
+            want = simulation_from_hour0(scenario, shadow)
+            seen["replication with no outage"] |= [] in want.outage_logs
+            for budget in (1, 3, 7, 10**6):
+                monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+                chunk_log.clear()
+                assert_same_report(run_simulation(scenario, shadow=shadow), want)
+                chunks_of = {}
+                logged = chunks(chunk_log)
+                for k, (groups, calls) in enumerate(logged):
+                    reps = {id(series) for series, _ in groups}
+                    seen["chunk of one replication"] |= len(reps) == 1
+                    seen["chunk of several replications"] |= len(reps) > 1
+                    for rep in reps:
+                        chunks_of[rep] = chunks_of.get(rep, 0) + 1
+                    # A chunk closes at the group that brings it to the budget.
+                    assert n * len(groups) - n < budget
+                    assert n * len(groups) >= budget or k == len(logged) - 1
+                    modes = {}
+                    for ids, hour, islanded in calls:
+                        assert len(ids) < budget + n
+                        assert islanded not in modes.setdefault(hour, set())
+                        modes[hour].add(islanded)
+                seen["replication over several chunks"] |= max(chunks_of.values()) > 1
+        assert all(seen.values()), seen
+
+    def test_replication_handed_on_once_whole(self, monkeypatch, chunk_log):
+        """When a replication is sampled, every earlier one is already
+        yielded, except those from the first one with a group still
+        queued: the queue holds at most the replications of one chunk."""
+        monkeypatch.setattr(harness, "ROW_BUDGET", 7)
+        sampler = harness.sample_outages
+        monkeypatch.setattr(harness, "sample_outages",
+                            lambda *args: chunk_log.append(("sample",)) or sampler(*args))
+        waited = 0
+        for seed in range(3):
+            scenario = self.sparse_scenario(seed, 4, 3, 16, "full")
+            chunk_log.clear()
+            rep_of = {}
+            for series, _ in harness._replications(scenario, compute_shadow(scenario),
+                                                   range(16)):
+                chunk_log.append(("yield", series))  # kept alive: ids stay distinct
+                rep_of[id(series)] = len(rep_of)
+            sampled = yielded = 0
+            for k, entry in enumerate(chunk_log):
+                if entry[0] == "sample":
+                    # The first queued group is the next chunk's first group.
+                    queued = next((rep_of[id(e[1][0][0])] for e in chunk_log[k:]
+                                   if e[0] == "chunk"), sampled)
+                    assert yielded == min(queued, sampled), (seed, sampled)
+                    waited += queued < sampled
+                    sampled += 1
+                elif entry[0] == "yield":
+                    yielded += 1
+        assert waited > 0
+
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_feeders_of_one(self, precharge, monkeypatch):
+        """One n-Grid per feeder, at the default budget and at one row."""
+        default = harness.ROW_BUDGET
+        for seed in range(3):
+            scenario = self.sparse_scenario(seed, 12, 1, 12, precharge, starts=6.0)
+            shadow = compute_shadow(scenario)
+            want = simulation_from_hour0(scenario, shadow)
+            for budget in (default, 1):
+                monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+                assert_same_report(run_simulation(scenario, shadow=shadow), want)
 
 
 class TestRunSimulation:
