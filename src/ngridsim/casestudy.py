@@ -17,7 +17,7 @@ import os
 import numpy as np
 import yaml
 
-from .config import PROFILE_COLUMNS
+from .config import DERATE_COLUMNS, PROFILE_COLUMNS
 from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
                     HourlyProfile, HvacAsset, NGrid, StorageUnit)
 from .harness import Scenario
@@ -36,7 +36,7 @@ _PV_SHAPE = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.8, 1.6, 2.4,
              0.0, 0.0, 0.0, 0.0]
 
 
-def storm_sor(feeder_index: int, rng: np.random.Generator, horizon: int = 24) -> list[float]:
+def storm_sor(rng: np.random.Generator, horizon: int = 24) -> list[float]:
     """Daytime-storm risk shape: small background, gaussian bump mid-afternoon."""
     peak = 0.03 + 0.09 * rng.random()
     center = 13.0 + 2.0 * rng.random()
@@ -98,7 +98,7 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
 
     entries = {}
     for f in range(N_FEEDERS):
-        for h, p in enumerate(storm_sor(f, rng, horizon)):
+        for h, p in enumerate(storm_sor(rng, horizon)):
             entries[(f"F{f + 1:02d}", h)] = p
     sor = SorTable(entries)
 
@@ -126,6 +126,15 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
                 parts.append([h, h])
         return ",".join(f"{a}-{b}" if a != b else str(a) for a, b in parts)
 
+    def efficiencies(unit: StorageUnit) -> dict:
+        """The efficiencies that differ from the loader's default of 1."""
+        return {name: getattr(unit, name) for name in ("eta_charge", "eta_discharge")
+                if getattr(unit, name) != 1.0}
+
+    def hourly(profile: HourlyProfile):
+        """A constant profile as its one value, any other as its list."""
+        return profile[0] if len(set(profile.values)) == 1 else list(profile.values)
+
     fleet_doc = {"feeders": []}
     for feeder in scenario.fleet.feeders:
         fdoc = {"id": feeder.id, "ngrids": []}
@@ -135,16 +144,17 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
             if ng.bess is not None:
                 ndoc["bess"] = {"capacity_kwh": ng.bess.capacity_kwh,
                                 "p_max_kw": ng.bess.p_max_kw,
-                                "soc0_kwh": ng.bess.soc_kwh}
+                                "soc0_kwh": ng.bess.soc_kwh, **efficiencies(ng.bess)}
             if ng.evs:
                 ndoc["evs"] = [{"capacity_kwh": ev.battery.capacity_kwh,
                                 "p_max_kw": ev.battery.p_max_kw,
                                 "soc_arrival_kwh": ev.soc_on_arrival_kwh,
-                                "plug_hours": plug_ranges(ev.plug_hours)}
+                                "plug_hours": plug_ranges(ev.plug_hours),
+                                **efficiencies(ev.battery)}
                                for ev in ng.evs]
             if ng.hvac is not None:
-                ndoc["hvac"] = {"p_normal": ng.hvac.p_normal_kw[0],
-                                "p_min": ng.hvac.p_min_kw[0]}
+                ndoc["hvac"] = {"p_normal": hourly(ng.hvac.p_normal_kw),
+                                "p_min": hourly(ng.hvac.p_min_kw)}
             if ng.deferrables:
                 ndoc["deferrables"] = [{"energy_kwh": t.energy_kwh, "power_kw": t.power_kw,
                                         "earliest": t.earliest_hour, "deadline": t.deadline_hour}
@@ -165,6 +175,10 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
         "profiles": "profiles.csv",
         "sor": "sor.csv",
     }
+    if scenario.derate is not None:
+        write_table(os.path.join(out_dir, "derate.csv"), DERATE_COLUMNS,
+                    ([f, h, factor] for (f, h), factor in sorted(scenario.derate.items())))
+        scenario_doc["derate"] = "derate.csv"
     path = os.path.join(out_dir, "scenario.yaml")
     with open(path, "w") as fh:
         yaml.safe_dump(scenario_doc, fh, sort_keys=False)

@@ -12,7 +12,7 @@ import sys
 
 from . import casestudy, sor as sor_engine
 from .config import load_scenario
-from .harness import emit_report, run_simulation, sweep_reports
+from .harness import check_repair_values, emit_report, run_simulation, sweep_reports
 from .metrics import LabeledScore, metric_report
 from .tables import ValidationError, read_table
 
@@ -82,14 +82,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     repair_values = [float(v) for v in args.repair.split(",") if v.strip()]
-    runs = sweep_reports(scenario, repair_values)
-    rows = [(repair, r.total_ens_mwh, r.total_spilled_mwh) for repair, r in runs]
-    # The series files describe the scenario's own repair time; reuse the
-    # sweep's run when it has one.
-    report = next((r for repair, r in runs if repair == scenario.repair_hours), None)
-    if report is None:
-        report = run_simulation(scenario)
-    emit_report(report, rows, args.out)
+    check_repair_values(repair_values)
+    # The series files describe the scenario's own repair time: sweep it too,
+    # so every run shares one shadow, and report only the times asked for.
+    runs = dict(sweep_reports(scenario, sorted({*repair_values, scenario.repair_hours})))
+    rows = [(v, runs[v].total_ens_mwh, runs[v].total_spilled_mwh) for v in repair_values]
+    emit_report(runs[scenario.repair_hours], rows, args.out)
     for repair, ens, spilled in rows:
         print(f"repair {repair:g} h: ENS {ens:.6f} MWh, spilled {spilled:.6f} MWh")
     return 0

@@ -21,6 +21,7 @@ from .sor import load_sor_table
 from .tables import ValidationError, read_table
 
 PROFILE_COLUMNS = ("ngrid_id", "hour", "load_kw", "pv_kw")
+DERATE_COLUMNS = ("feeder_id", "hour", "factor")
 
 
 def parse_plug_hours(spec) -> set[int]:
@@ -162,7 +163,7 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
 
 def load_derate(path) -> dict[tuple[str, int], float]:
     return {(rec["feeder_id"], rec["hour"]): rec["factor"]
-            for rec in read_table(path, ("feeder_id", "hour", "factor"),
+            for rec in read_table(path, DERATE_COLUMNS,
                                   {"hour": int, "factor": float}.get)}
 
 

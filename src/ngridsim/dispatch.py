@@ -6,8 +6,9 @@ before EV discharge (residual is energy not served); with a PV surplus,
 charge EVs before the BESS, then restore HVAC toward normal, then serve
 deferrable tasks in-window, and spill whatever remains. Connected hours
 serve everything from the grid, run deferrable tasks at their earliest
-in-window hours, and recharge storage toward a fraction of capacity
-(:meth:`ngridsim.harness.Scenario.target_fraction`).
+in-window hours, and recharge storage toward a fraction of capacity, one
+per row (:func:`ngridsim.harness.compute_shadow` sets it from the scenario's
+precharge policy).
 
 :class:`FleetArrays` holds a block of n-Grids as struct-of-arrays, one row
 per n-Grid. :func:`step` advances any set of its rows by one hour, and

@@ -55,22 +55,6 @@ class Scenario:
     derate: dict[tuple[str, int], float] | None = None
     precharge: str = "full"
 
-    def derate_at(self, feeder_id: str, hour: int) -> float:
-        if self.derate is None:
-            return 1.0
-        return self.derate.get((feeder_id, hour), 1.0)
-
-    def target_fraction(self, feeder_id: str, hour: int) -> float:
-        """Connected-mode recharge target as a fraction of capacity: 1 under
-        ``full`` precharge, and under ``sor`` the worst outage risk over the
-        next ``SOR_LOOKAHEAD_HOURS`` hours."""
-        if self.precharge == "full":
-            return 1.0
-        if self.precharge != "sor":
-            raise ValueError(f"unknown precharge mode {self.precharge!r}")
-        hours = range(hour + 1, min(hour + 1 + SOR_LOOKAHEAD_HOURS, self.horizon))
-        return max([0.0] + [self.sor.get(feeder_id, h) for h in hours])
-
 
 # Placeholders: bench/child.py's tracer looks these two names up here and
 # wraps them by identity; they go when the benchmark drops that lookup. The
@@ -98,14 +82,19 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
         report.append(f"sr_delivery_hours must be finite and > 0, "
                       f"got {scenario.sr_delivery_hours}")
-    try:
-        scenario.sor.check_complete([f.id for f in scenario.fleet.feeders], scenario.horizon)
-    except ValueError as exc:
-        report.append(str(exc))
-    if scenario.derate:
-        for (f, h), factor in scenario.derate.items():
-            if not (0.0 < factor <= 1.0):
-                report.append(f"derate factor {factor} out of (0, 1] for feeder {f!r} hour {h}")
+    want = {(f.id, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
+    have = {(f, h) for f in scenario.sor.feeder_ids for h in range(scenario.sor.horizon)}
+    if missing := want - have:
+        f, h = min(missing)
+        report.append(f"SoR table missing entry for feeder {f!r} hour {h}")
+    elif extra := have - want:
+        f, h = min(extra)
+        report.append(f"SoR table has entry outside scenario: feeder {f!r} hour {h}")
+    for (f, h), factor in (scenario.derate or {}).items():
+        if (f, h) not in want:
+            report.append(f"derate row outside scenario: feeder {f!r} hour {h}")
+        if not (0.0 < factor <= 1.0):
+            report.append(f"derate factor {factor} out of (0, 1] for feeder {f!r} hour {h}")
     if scenario.precharge not in ("full", "sor"):
         report.append(f"unknown precharge policy {scenario.precharge!r}")
     return report
@@ -157,7 +146,7 @@ def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
     does not depend on the repair duration."""
     duration = max(1, math.ceil(repair_hours))
     events: list[OutageEvent] = []
-    for feeder_id, p in sor.by_feeder.items():
+    for feeder_id, p in zip(sor.feeder_ids, sor.probabilities):
         u = rng_for_feeder(feeder_id).random(horizon)
         active_until = 0
         for h in np.flatnonzero(u < p[:horizon]).tolist():
@@ -209,16 +198,28 @@ def _fold(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def compute_shadow(scenario: Scenario) -> _Shadow:
     H = scenario.horizon
     fleet = scenario.fleet
-
-    def per_row(value_at) -> np.ndarray:
-        """(H, N) from a value per (feeder, hour), computed once per feeder."""
-        by_feeder = {f: [value_at(f, h) for h in range(H)]
-                     for f in {ng.feeder_id for ng in fleet.ngrids}}
-        return np.array([by_feeder[ng.feeder_id] for ng in fleet.ngrids],
-                        dtype=float).reshape(-1, H).T.copy()
+    # Per (feeder, hour), feeders in SoR table order: the recharge target
+    # fraction (1 under ``full`` precharge; under ``sor`` the worst risk over
+    # the next SOR_LOOKAHEAD_HOURS hours, kept on ties as Python's ``max``
+    # keeps its first operand) and the derate factor.
+    risk = scenario.sor.probabilities
+    if scenario.precharge == "full":
+        target = np.ones(risk.shape)
+    elif scenario.precharge == "sor":
+        target = np.zeros(risk.shape)
+        for k in range(1, min(SOR_LOOKAHEAD_HOURS, H) + 1):
+            ahead, now = risk[:, k:H], target[:, :H - k]
+            now[...] = np.where(ahead > now, ahead, now)
+    else:
+        raise ValueError(f"unknown precharge mode {scenario.precharge!r}")
+    derate = np.ones(risk.shape)
+    row_of_feeder = {f: i for i, f in enumerate(scenario.sor.feeder_ids)}
+    for (f, h), factor in (scenario.derate or {}).items():
+        derate[row_of_feeder[f], h] = factor
+    feeder_of_row = np.array([row_of_feeder[ng.feeder_id] for ng in fleet.ngrids], dtype=np.intp)
 
     arrays = FleetArrays.build(fleet.ngrids, H)
-    frac = per_row(scenario.target_fraction)
+    frac = target[feeder_of_row, :H].T.copy()
     history, flows = [arrays.initial_state()], []
     for h in range(H):
         out, state = step(arrays, history[-1], h, False, frac[h])
@@ -227,7 +228,7 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     states = FleetState(*map(np.stack, zip(*history)))
     ru, rd = ramp(arrays, FleetState(*(a[1:] for a in states)),
                   np.stack([f.bess_kw for f in flows]), np.stack([f.ev_kw for f in flows]),
-                  per_row(scenario.derate_at), scenario.sr_delivery_hours)
+                  derate[feeder_of_row, :H].T.copy(), scenario.sr_delivery_hours)
     # (4, H, N): each n-Grid's served load, PV, ramp-up and ramp-down.
     rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
@@ -314,13 +315,22 @@ def _replications(scenario: Scenario, shadow: _Shadow, indices):
     yield from pending
 
 
+def _checked_shadow(scenario: Scenario, shadow: _Shadow | None) -> _Shadow:
+    """``shadow``, or the scenario's own when it is None, after validating
+    the scenario (with a shadow given, only what the shadow leaves open)."""
+    problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return compute_shadow(scenario) if shadow is None else shadow
+
+
 def run_replication(scenario: Scenario, replication_index: int,
                     shadow: _Shadow | None = None) -> tuple[FleetSeries, list[OutageEvent]]:
     """Sample outages, dispatch the disturbed feeders, and return fleet
     totals plus the outage log for one replication: the path of
-    :func:`run_simulation` on a chunk of this replication alone."""
-    if shadow is None:
-        shadow = compute_shadow(scenario)
+    :func:`run_simulation` on a chunk of this replication alone, validated
+    as there."""
+    shadow = _checked_shadow(scenario, shadow)
     series, events = next(_replications(scenario, shadow, [replication_index]))
     return FleetSeries(*series), events
 
@@ -336,11 +346,7 @@ def run_simulation(scenario: Scenario, workers: int | None = None,
     seed; with one, only the repair time and the replication count are
     validated.
     """
-    problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    if shadow is None:
-        shadow = compute_shadow(scenario)
+    shadow = _checked_shadow(scenario, shadow)
     total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
     outage_logs, per_rep_ens, per_rep_spilled = [], [], []
     for series, events in _replications(scenario, shadow, range(scenario.replications)):
@@ -368,15 +374,21 @@ def sweep_repair_time(scenario: Scenario,
             for value, report in sweep_reports(scenario, repair_values)]
 
 
+def check_repair_values(repair_values: list[float]) -> None:
+    """Raise ValidationError unless the sweep's repair times are a
+    non-empty, strictly increasing list."""
+    if not repair_values:
+        raise ValidationError("repair_values must be non-empty")
+    if any(b <= a for a, b in zip(repair_values, repair_values[1:])):
+        raise ValidationError("repair_values must be strictly increasing")
+
+
 def sweep_reports(scenario: Scenario,
                   repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
     """One (repair_hours, report) pair per repair time, as
     :func:`sweep_repair_time` describes. The shadow does not depend on the
     repair time, so every run shares one."""
-    if not repair_values:
-        raise ValidationError("repair_values must be non-empty")
-    if any(b <= a for a, b in zip(repair_values, repair_values[1:])):
-        raise ValidationError("repair_values must be strictly increasing")
+    check_repair_values(repair_values)
     variants = [replace(scenario, repair_hours=value) for value in repair_values]
     # The variants differ only in repair time: validate the first in full and
     # the others' repair times before the shared shadow is computed.

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -262,47 +261,46 @@ def evaluate(model: BoostedModel, rows: list[FeatureRow], threshold: float = 0.5
 # ---------------------------------------------------------------------------
 # SoR table
 
-@dataclass(frozen=True)
 class SorTable:
-    """Hourly outage probability per feeder: (feeder_id, hour) -> [0, 1]."""
+    """Hourly outage probability per feeder: ``probabilities`` is a read-only
+    ``(F, H)`` array, one row per feeder in sorted ``feeder_ids`` order, one
+    column per hour from 0. Built from a ``(feeder_id, hour) -> p`` mapping,
+    which must hold every p in [0, 1] and every feeder at every hour up to
+    its largest."""
 
-    probabilities: dict[tuple[str, int], float]
-
-    def get(self, feeder_id: str, hour: int) -> float:
-        return self.probabilities[(feeder_id, hour)]
-
-    @property
-    def feeder_ids(self) -> list[str]:
-        return sorted({f for f, _ in self.probabilities})
+    def __init__(self, entries: dict[tuple[str, int], float]):
+        if not entries:
+            raise ValueError("empty SoR table")
+        self.feeder_ids = tuple(sorted({f for f, _ in entries}))
+        self._row = {f: i for i, f in enumerate(self.feeder_ids)}
+        grid = np.full((len(self.feeder_ids), 1 + max(h for _, h in entries)), np.nan)
+        for (f, h), p in entries.items():
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"probability {p} out of [0, 1] for feeder {f!r} hour {h}")
+            if h >= 0:
+                grid[self._row[f], h] = p
+        if (missing := np.argwhere(np.isnan(grid))).size:
+            i, h = missing[0]
+            raise ValueError(f"SoR table missing entry for feeder {self.feeder_ids[i]!r} "
+                             f"hour {h}")
+        if negative := sorted(key for key in entries if key[1] < 0):
+            f, h = negative[0]
+            raise ValueError(f"SoR table has entry outside scenario: feeder {f!r} hour {h}")
+        grid.flags.writeable = False
+        self.probabilities = grid
 
     @property
     def horizon(self) -> int:
-        return 1 + max(h for _, h in self.probabilities)
+        return self.probabilities.shape[1]
 
-    @cached_property
-    def by_feeder(self) -> dict[str, np.ndarray]:
-        """Each feeder's probabilities from hour 0, in feeder id order."""
-        return {f: np.array([self.get(f, h) for h in range(self.horizon)])
-                for f in self.feeder_ids}
+    def get(self, feeder_id: str, hour: int) -> float:
+        if not 0 <= hour < self.horizon:
+            raise KeyError((feeder_id, hour))
+        return float(self.probabilities[self._row[feeder_id], hour])
 
-    def check_complete(self, feeder_ids, horizon: int) -> None:
-        for f in feeder_ids:
-            for h in range(horizon):
-                if (f, h) not in self.probabilities:
-                    raise ValueError(f"SoR table missing entry for feeder {f!r} hour {h}")
-        extra = set(self.probabilities) - {(f, h) for f in feeder_ids for h in range(horizon)}
-        if extra:
-            f, h = sorted(extra)[0]
-            raise ValueError(f"SoR table has entry outside scenario: feeder {f!r} hour {h}")
-
-
-def _validate_table(entries: dict[tuple[str, int], float]) -> SorTable:
-    for (f, h), p in entries.items():
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"probability {p} out of [0, 1] for feeder {f!r} hour {h}")
-    table = SorTable(entries)
-    table.check_complete(table.feeder_ids, table.horizon)
-    return table
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SorTable) and self.feeder_ids == other.feeder_ids
+                and np.array_equal(self.probabilities, other.probabilities))
 
 
 def build_sor_table(model: BoostedModel, rows: list[FeatureRow]) -> SorTable:
@@ -314,7 +312,7 @@ def build_sor_table(model: BoostedModel, rows: list[FeatureRow]) -> SorTable:
         entries[r.feeder_id, r.hour] = p
     if not entries:
         raise ValueError("no rows to score")
-    return _validate_table(entries)
+    return SorTable(entries)
 
 
 def load_sor_table(path) -> SorTable:
@@ -327,12 +325,12 @@ def load_sor_table(path) -> SorTable:
         entries[key] = rec["probability"]
     if not entries:
         raise ValueError(f"{path}: empty SoR table")
-    return _validate_table(entries)
+    return SorTable(entries)
 
 
 def save_sor_table(table: SorTable, path) -> None:
-    write_table(path, SOR_COLUMNS, ([f, h, table.probabilities[(f, h)]]
-                                    for (f, h) in sorted(table.probabilities)))
+    write_table(path, SOR_COLUMNS, ([f, h, p] for f, row in zip(
+        table.feeder_ids, table.probabilities.tolist()) for h, p in enumerate(row)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 import filecmp
 import json
+import random
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from ngridsim import cli, harness
+from fuzzing import random_fleet
+from ngridsim import casestudy, cli, harness
 from ngridsim.cli import main
 from ngridsim.config import load_scenario, parse_plug_hours
-from ngridsim.harness import ValidationError
+from ngridsim.dispatch import FleetArrays
+from ngridsim.fleet import Fleet, HourlyProfile
+from ngridsim.harness import Scenario, ValidationError, validate_scenario
+from ngridsim.sor import SorTable
 
 H = 24
 
@@ -59,6 +66,41 @@ class TestConfigLoading:
         assert ng.hvac.p_normal_kw[5] == 1.0
         assert ng.deferrables[0].deadline_hour == 16
         assert scenario.sor.get("F1", 2) == 1.0
+
+    def test_bundle_round_trip(self, tmp_path):
+        """``casestudy.write_bundle`` writes what ``load_scenario`` reads:
+        efficiencies below 1, per-hour HVAC, derate and every setting.
+        Values have at most 6 decimals, so the CSVs' 10 significant digits
+        hold them exactly."""
+        rng = random.Random("bundle")
+        shuffled = random_fleet(rng, n_feeders=3, ngrids_per_feeder=3)
+
+        def rounded(profile):
+            return HourlyProfile(round(v, 6) for v in profile.values)
+
+        # In listing order, the only order a fleet file holds.
+        fleet = Fleet(shuffled.feeders, tuple(
+            replace(ng, base_load=rounded(ng.base_load), pv=rounded(ng.pv))
+            for f in shuffled.feeders for ng in map(shuffled.ngrid, f.ngrid_ids)))
+        sor = SorTable({(f.id, h): round(rng.random(), 6) for f in fleet.feeders for h in range(H)})
+        derate = {(f.id, h): round(rng.uniform(0.5, 1.0), 6)
+                  for f in fleet.feeders for h in rng.sample(range(H), 3)}
+        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.5, replications=7,
+                            master_seed=99, sr_delivery_hours=0.5, derate=derate,
+                            precharge="sor")
+        again = load_scenario(casestudy.write_bundle(scenario, tmp_path / "bundle"))
+        assert validate_scenario(again) == []
+        assert again.fleet.feeders == fleet.feeders
+        want, got = FleetArrays.build(fleet.ngrids, H), FleetArrays.build(again.fleet.ngrids, H)
+        for field in fields(FleetArrays):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name),
+                                          err_msg=field.name)
+        for name in ("horizon", "repair_hours", "replications", "master_seed",
+                     "sr_delivery_hours", "precharge", "derate"):
+            assert getattr(again, name) == getattr(scenario, name), name
+        assert again.sor == sor
+        assert (want.bess_eta_c[want.has_bess] < 1.0).all() and (want.ev_eta_d < 1.0).any()
+        assert (want.hvac_normal != want.hvac_normal[0]).any()
 
     def test_missing_profile_hour_named(self, tmp_path):
         path = write_tiny_bundle(tmp_path / "tiny")
@@ -193,6 +235,17 @@ class TestLoaderErrors:
         assert name in err and f"line {line}," in err and repr(column) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row", ["F99,3,0.5", "F1,30,0.5"])
+    def test_derate_row_outside_scenario(self, tmp_path, capsys, row):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
+        (scenario.parent / "derate.csv").write_text(f"feeder_id,hour,factor\nF1,0,0.9\n{row}\n")
+        code, err = self.run(scenario, tmp_path, capsys)
+        feeder, hour, _ = row.split(",")
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert f"derate row outside scenario: feeder {feeder!r} hour {hour}" in err
+
     @pytest.mark.parametrize("name, argv", [
         ("profiles.csv", SIMULATE),
         ("fleet.yaml", SIMULATE),
@@ -218,10 +271,11 @@ class TestLoaderErrors:
 
 
 class TestSweepReuse:
-    @pytest.mark.parametrize("repair, runs, shadows", [("1,2,3", 3, 1), ("2,3", 3, 2)])
-    def test_series_match_simulate(self, tmp_path, monkeypatch, repair, runs, shadows):
-        """The sweep's series files are the scenario's own simulation; a
-        sweep that lists its repair time (1 h) reuses that run."""
+    @pytest.mark.parametrize("repair, runs, shadows", [("1,2,3", 3, 1), ("2,3", 3, 1)])
+    def test_series_match_simulate(self, tmp_path, monkeypatch, capsys, repair, runs, shadows):
+        """The sweep's series files are the scenario's own simulation (repair
+        1 h), run on the sweep's one shadow whether or not the sweep lists
+        it; sweep.csv and the printout hold only the listed times."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
         assert main(["simulate", "--scenario", str(scenario),
                      "--out", str(tmp_path / "sim")]) == 0
@@ -242,6 +296,11 @@ class TestSweepReuse:
                      "--out", str(tmp_path / "swp")]) == 0
         assert calls["run_simulation"] == runs
         assert calls["compute_shadow"] == shadows
+        listed = [float(v) for v in repair.split(",")]
+        lines = (tmp_path / "swp" / "sweep.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == listed
+        printed = [line for line in capsys.readouterr().out.splitlines() if "repair" in line]
+        assert [line.split()[1] for line in printed] == repair.split(",")
         for name in ("fleet_series.csv", "summary.csv", "outages.csv"):
             assert filecmp.cmp(tmp_path / "sim" / name, tmp_path / "swp" / name,
                                shallow=False)

@@ -21,7 +21,8 @@ from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
 from ngridsim.sor import SorTable
 from oracles import (replication_from_hour0, sample_outages_scan,
                      simulation_from_hour0)
-from scalar_dispatch import connected_step, initial_state, islanded_step
+from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
+                             islanded_step, ramp_capacity)
 from test_cli import write_tiny_bundle
 
 H = 24
@@ -206,6 +207,66 @@ class TestRunReplication:
                 [OutageEvent("F1", 5, 2)] * f1_fails + [OutageEvent("F2", 3, 2)]
             for name in SERIES_FIELDS:
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+class TestShadowTables:
+    """The shadow's per-row recharge targets and ramp derating, against the
+    scalar steppers' per-(feeder, hour) lookups."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_precharge_targets_match_policy(self, seed):
+        """Every n-Grid-hour's target equals ``PrechargePolicy.target_fraction``
+        by bytes: ties, +0.0 against -0.0, and high risk in the last
+        lookahead hours, where the window is cut at the horizon."""
+        rng = random.Random(f"targets-{seed}")
+        fleet = random_fleet(rng, n_feeders=4, ngrids_per_feeder=2)
+        levels = [0.0, -0.0, 0.25, 0.25, 0.5, 1.0]
+        entries = {(f.id, h): rng.choice(levels + [rng.random()])
+                   for f in fleet.feeders for h in range(H)}
+        entries.update({("F0", h): -0.0 for h in range(H)})  # never above the 0.0 start
+        entries.update({("F1", h): [0.7, 0.7, -0.0, 0.9][h - H + 4] for h in range(H - 4, H)})
+        sor = SorTable(entries)
+        for precharge in ("full", "sor"):
+            frac = compute_shadow(Scenario(fleet=fleet, sor=sor, horizon=H,
+                                           precharge=precharge)).frac
+            policy = PrechargePolicy(mode=precharge, sor=sor)
+            want = np.array([[policy.target_fraction(ng.feeder_id, h, H) for ng in fleet.ngrids]
+                             for h in range(H)])
+            assert frac.tobytes() == want.tobytes(), precharge
+            if precharge == "full":
+                assert (frac == 1.0).all()
+        assert not np.signbit(frac).any() and (frac[H - 4:] > 0.0).any()
+
+    def test_derate_reaches_ramp_totals(self):
+        """Two feeders derated at different hours: each feeder's ramp-up and
+        ramp-down totals, and the fleet's, equal the scalar ramp capacity of
+        a grid-tied day summed in listing order, by bytes."""
+        fleet = random_fleet(random.Random("derate"), n_feeders=2, ngrids_per_feeder=3)
+        derate = {("F0", 8): 0.5, ("F0", 21): 0.75, ("F1", 2): 0.6, ("F1", 19): 0.25}
+        scenario = Scenario(fleet=fleet, sor=flat_sor(["F0", "F1"], p=0.1), horizon=H,
+                            derate=derate, sr_delivery_hours=1.5, precharge="sor")
+        shadow = compute_shadow(scenario)
+        plain = compute_shadow(replace(scenario, derate=None))
+        policy = PrechargePolicy(mode="sor", sor=scenario.sor)
+        fleet_ru, fleet_rd = np.zeros(H), np.zeros(H)
+        for feeder in fleet.feeders:
+            ru, rd = np.zeros(H), np.zeros(H)
+            for nid in feeder.ngrid_ids:
+                ngrid = fleet.ngrid(nid)
+                state = initial_state(ngrid)
+                for h in range(H):
+                    out, state = connected_step(ngrid, state, h, policy)
+                    cap = ramp_capacity(ngrid, state, out, 1.5, derate.get((feeder.id, h), 1.0))
+                    ru[h] += cap.ru_kw
+                    rd[h] += cap.rd_kw
+            totals = shadow.totals[feeder.id]
+            assert totals[2].tobytes() == ru.tobytes() and totals[3].tobytes() == rd.tobytes()
+            derated = [h for f, h in derate if f == feeder.id]
+            changed = np.flatnonzero((totals[2:] != plain.totals[feeder.id][2:]).any(axis=0))
+            assert set(changed) == set(derated)
+            fleet_ru, fleet_rd = fleet_ru + ru, fleet_rd + rd
+        for row, want in ((4, fleet_ru), (5, fleet_ru), (6, fleet_rd), (7, fleet_rd)):
+            assert shadow.baseline[row].tobytes() == want.tobytes()
 
 
 @pytest.fixture
@@ -635,3 +696,12 @@ class TestValidateScenario:
     def test_derate_range_checked(self):
         scenario = single_ngrid_scenario(derate={("F1", 0): 1.5})
         assert any("derate" in p for p in validate_scenario(scenario))
+
+    @pytest.mark.parametrize("key", [("F99", 3), ("F1", 30), ("F1", -1)])
+    def test_derate_row_outside_scenario(self, key):
+        scenario = single_ngrid_scenario(derate={("F1", 0): 0.9, key: 0.5})
+        assert validate_scenario(scenario) == \
+            [f"derate row outside scenario: feeder {key[0]!r} hour {key[1]}"]
+        for run in (run_simulation, lambda scenario: run_replication(scenario, 0)):
+            with pytest.raises(ValidationError, match="derate row outside scenario"):
+                run(scenario)

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import tempfile
 
 import numpy as np
@@ -296,8 +297,8 @@ class TestSorTable:
         lines += [f"F{f},{h},0.0" for f in range(10) for h in range(24)]
         path.write_text("\n".join(lines) + "\n")
         table = load_sor_table(path)
-        assert len(table.probabilities) == 240
-        assert all(p == 0.0 for p in table.probabilities.values())
+        assert table.probabilities.shape == (10, 24)
+        assert (table.probabilities == 0.0).all()
 
     def test_missing_entry_named(self, tmp_path):
         path = tmp_path / "sor.csv"
@@ -319,13 +320,39 @@ class TestSorTable:
         path = tmp_path / "sor.csv"
         save_sor_table(table, path)
         again = load_sor_table(path)
-        for key, p in table.probabilities.items():
-            assert again.probabilities[key] == pytest.approx(p)
+        assert again.feeder_ids == table.feeder_ids
+        for got, want in zip(again.probabilities.flat, table.probabilities.flat, strict=True):
+            assert got == pytest.approx(want)
         assert b"\r" not in path.read_bytes()
         exact = SorTable({("F1", h): h / 32.0 for h in range(24)})
         save_sor_table(exact, path)
         assert load_sor_table(path) == exact
 
+
+    def test_one_read_only_array(self):
+        entries = {("F2", 0): 0.25, ("F2", 1): 0.0, ("F0", 0): 1.0, ("F0", 1): 0.5}
+        table = SorTable(entries)
+        assert table.feeder_ids == ("F0", "F2") and table.horizon == 2
+        np.testing.assert_array_equal(table.probabilities, [[1.0, 0.5], [0.25, 0.0]])
+        assert table.get("F2", 0) == 0.25
+        with pytest.raises(ValueError):
+            table.probabilities[0, 0] = 0.0
+        with pytest.raises(KeyError):
+            table.get("F0", -1)
+        assert table == SorTable(dict(reversed(entries.items())))
+        assert table != SorTable({**entries, ("F2", 1): 0.125})
+
+    @pytest.mark.parametrize("entries, message", [
+        ({("F1", 0): 0.1, ("F1", -1): 0.1}, "has entry outside scenario: feeder 'F1' hour -1"),
+        ({("F1", 0): 0.1, ("F1", 2): 0.1, ("F2", 0): 0.0, ("F2", 1): 0.0, ("F2", 2): 0.0},
+         "missing entry for feeder 'F1' hour 1"),
+        ({("F1", 0): 0.1, ("F1", 2): 0.1, ("F1", -2): 0.1}, "missing entry for feeder 'F1' hour 1"),
+        ({("F1", 0): 0.1, ("F1", 1): math.nan}, "probability nan out of [0, 1]"),
+        ({}, "empty SoR table"),
+    ], ids=["negative-hour", "missing", "missing-before-negative", "nan", "empty"])
+    def test_validated_on_construction(self, entries, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SorTable(entries)
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
