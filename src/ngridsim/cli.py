@@ -80,11 +80,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    repair_values = [float(v) for v in args.repair.split(",") if v.strip()]
+    repair_values = []
+    for item in filter(str.strip, args.repair.split(",")):
+        try:
+            repair_values.append(float(item))
+        except ValueError:
+            raise ValidationError(f"--repair: {item.strip()!r} is not a number") from None
     check_repair_values(repair_values)
+    scenario = load_scenario(args.scenario)
     # The series files describe the scenario's own repair time: sweep it too,
-    # so every run shares one shadow, and report only the times asked for.
+    # in the same pass, and report only the times asked for.
     runs = dict(sweep_reports(scenario, sorted({*repair_values, scenario.repair_hours})))
     rows = [(v, runs[v].total_ens_mwh, runs[v].total_spilled_mwh) for v in repair_values]
     emit_report(runs[scenario.repair_hours], rows, args.out)

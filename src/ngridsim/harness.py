@@ -8,19 +8,22 @@ uniform is pre-drawn per feeder-hour and the Bernoulli comparison is applied
 only while no outage is active, which keeps outage *starts* identical across
 repair-time sweep points.
 
-The no-outage shadow (the whole fleet grid-tied all day, stepped as one
-block by :func:`ngridsim.dispatch.step`) is computed once per scenario and
-shared by all replications and repair-time sweep points. Each feeder with
-an outage in a replication is a group of rows, one per n-Grid on it; groups
-queue into chunks of ``ROW_BUDGET`` rows, and a chunk is stepped hour by
-hour with at most two kernel calls an hour, one on its islanded rows and
-one on its connected rows. A group starts from the shadow's states at its
-first outage hour and, after its last islanded hour, drops out once every
-row's state equals the shadow's after a connected hour: the kernel computes
-each row on its own, so from then on connected dispatch repeats the shadow,
-whose values fill the hours a row is not stepped. Each hour's totals are
-summed in the order of a from-hour-0 re-dispatch of one n-Grid after
-another, so results are bit-identical to it, whatever the chunks.
+A simulation is a sweep of one repair time. A sweep validates once,
+computes the no-outage shadow (the whole fleet grid-tied all day, stepped
+as one block by :func:`ngridsim.dispatch.step`) once, and runs one Monte
+Carlo pass for all its points. Each feeder with an outage at a repair time
+in a replication is a group of rows, one per n-Grid on it; the groups of
+every point and replication queue into the same chunks of ``ROW_BUDGET``
+rows, and a chunk is stepped hour by hour with at most two kernel calls an
+hour, one on its islanded rows and one on its connected rows. A group
+starts from the shadow's states at its first outage hour and, after its
+last islanded hour, drops out once every row's state equals the shadow's
+after a connected hour: the kernel computes each row on its own, so from
+then on connected dispatch repeats the shadow, whose values fill the hours
+a row is not stepped. Each hour's totals are summed in the order of a
+from-hour-0 re-dispatch of one n-Grid after another, each feeder's n-Grids
+in their ``fleet.yaml`` listing order, and a point's replications in index
+order, so results are bit-identical to it, whatever the chunks.
 """
 
 from __future__ import annotations
@@ -67,18 +70,17 @@ def islanded_step(*args, **kwargs):
     raise NotImplementedError("the per-n-Grid steppers are in tests/scalar_dispatch.py")
 
 
-def _run_problems(scenario: Scenario) -> list[str]:
-    """Checks on the settings a shared shadow does not depend on."""
-    problems = []
-    if not (math.isfinite(scenario.repair_hours) and scenario.repair_hours > 0):
-        problems.append(f"repair_hours must be finite and > 0, got {scenario.repair_hours}")
-    if scenario.replications < 1:
-        problems.append(f"replications must be >= 1, got {scenario.replications}")
-    return problems
+def _repair_problems(repair_hours: float) -> list[str]:
+    if math.isfinite(repair_hours) and repair_hours > 0:
+        return []
+    return [f"repair_hours must be finite and > 0, got {repair_hours}"]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    report = validate_fleet(scenario.fleet, scenario.horizon) + _run_problems(scenario)
+    report = validate_fleet(scenario.fleet, scenario.horizon)
+    report += _repair_problems(scenario.repair_hours)
+    if scenario.replications < 1:
+        report.append(f"replications must be >= 1, got {scenario.replications}")
     if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
         report.append(f"sr_delivery_hours must be finite and > 0, "
                       f"got {scenario.sr_delivery_hours}")
@@ -233,10 +235,9 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
     row_of = {ng.id: r for r, ng in enumerate(fleet.ngrids)}
-    totals = {f.id: _fold(np.zeros((4, H)), rows[..., [row_of[nid] for nid in f.ngrid_ids]])
-              for f in fleet.feeders}
-    feeder_rows = {f.id: np.array(sorted(map(row_of.get, f.ngrid_ids)), dtype=np.intp)
+    feeder_rows = {f.id: np.array([row_of[nid] for nid in f.ngrid_ids], dtype=np.intp)
                    for f in fleet.feeders}
+    totals = {f: _fold(np.zeros((4, H)), rows[..., r]) for f, r in feeder_rows.items()}
     rows[2:] = 0.0  # no ENS or spill while grid-tied
     load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)), np.array(
         list(totals.values())).reshape(-1, 4, H).transpose(1, 2, 0))
@@ -285,93 +286,37 @@ def _step_chunk(shadow: _Shadow, chunk: list[tuple[np.ndarray, str, np.ndarray]]
         # available series.
         series[5::2] -= np.where(mask, totals[2:], 0.0)
         series[:2] -= totals[:2]
-        # Rows are in fleet order, so each hour's sum keeps the order of a
-        # from-hour-0 re-dispatch of one n-Grid after another.
+        # Rows are in the feeder's listing order, as in ``totals``, so each
+        # hour's sum keeps the order of a from-hour-0 re-dispatch of one
+        # n-Grid after another.
         series[:4] = _fold(series[:4], rows)
 
 
-def _replications(scenario: Scenario, shadow: _Shadow, indices):
-    """(series, events) for each replication index in order, the series as
-    ``_Shadow.baseline``, once all its disturbed feeders are folded in."""
+def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
+                 indices) -> tuple[np.ndarray, list[list[list[OutageEvent]]]]:
+    """Series ``(P, R, 8, H)``, each ``[p, r]`` as ``_Shadow.baseline``, and
+    outage logs ``[p][r]`` for repair time ``repair_values[p]`` and
+    replication ``indices[r]``. Replications go in order, each over every
+    repair time, and all their groups queue into the same chunks."""
     H = scenario.horizon
-    pending, chunk, queued = [], [], 0
-    for i in indices:
-        events = sample_outages(
-            scenario.sor, scenario.repair_hours, H,
-            lambda fid: feeder_rng(scenario.master_seed, i, fid))
-        series = shadow.baseline.copy()
-        pending.append((series, events))
-        for feeder_id, mask in islanded_masks(events, H):
-            chunk.append((series, feeder_id, mask))
-            queued += len(shadow.feeder_rows[feeder_id])
-            if queued >= ROW_BUDGET:
-                _step_chunk(shadow, chunk)
-                chunk, queued = [], 0
-        # Replications before the first one with a group still queued are whole.
-        while pending and not (chunk and pending[0][0] is chunk[0][0]):
-            yield pending.pop(0)
+    series = np.tile(shadow.baseline, (len(repair_values), len(indices), 1, 1))
+    logs = [[] for _ in repair_values]
+    chunk, queued = [], 0
+    for r, i in enumerate(indices):
+        for p, value in enumerate(repair_values):
+            events = sample_outages(scenario.sor, value, H,
+                                    lambda fid: feeder_rng(scenario.master_seed, i, fid))
+            logs[p].append(events)
+            view = series[p, r]  # one object for all of this replication's groups
+            for feeder_id, mask in islanded_masks(events, H):
+                chunk.append((view, feeder_id, mask))
+                queued += len(shadow.feeder_rows[feeder_id])
+                if queued >= ROW_BUDGET:
+                    _step_chunk(shadow, chunk)
+                    chunk, queued = [], 0
     if chunk:
         _step_chunk(shadow, chunk)
-    yield from pending
-
-
-def _checked_shadow(scenario: Scenario, shadow: _Shadow | None) -> _Shadow:
-    """``shadow``, or the scenario's own when it is None, after validating
-    the scenario (with a shadow given, only what the shadow leaves open)."""
-    problems = validate_scenario(scenario) if shadow is None else _run_problems(scenario)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return compute_shadow(scenario) if shadow is None else shadow
-
-
-def run_replication(scenario: Scenario, replication_index: int,
-                    shadow: _Shadow | None = None) -> tuple[FleetSeries, list[OutageEvent]]:
-    """Sample outages, dispatch the disturbed feeders, and return fleet
-    totals plus the outage log for one replication: the path of
-    :func:`run_simulation` on a chunk of this replication alone, validated
-    as there."""
-    shadow = _checked_shadow(scenario, shadow)
-    series, events = next(_replications(scenario, shadow, [replication_index]))
-    return FleetSeries(*series), events
-
-
-def run_simulation(scenario: Scenario, workers: int | None = None,
-                   shadow: _Shadow | None = None) -> SimulationReport:
-    """Run all replications in index order, folding each into the running
-    fleet totals as it finishes, and average the fleet series element-wise.
-
-    ``workers`` is accepted for compatibility and ignored: replications run
-    serially, in chunks. A given ``shadow`` must come from a scenario that
-    differs from this one at most in repair time, replication count and
-    seed; with one, only the repair time and the replication count are
-    validated.
-    """
-    shadow = _checked_shadow(scenario, shadow)
-    total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
-    outage_logs, per_rep_ens, per_rep_spilled = [], [], []
-    for series, events in _replications(scenario, shadow, range(scenario.replications)):
-        total += series
-        outage_logs.append(events)
-        per_rep_ens.append(float(series[2].sum()) / 1000.0)
-        per_rep_spilled.append(float(series[3].sum()) / 1000.0)
-    mean = FleetSeries(*(total * (1.0 / scenario.replications)))
-    return SimulationReport(
-        mean_series=mean,
-        total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,
-        total_spilled_mwh=float(mean.spilled_kw.sum()) / 1000.0,
-        max_ru_total_kw=float(mean.ru_total_kw.max()),
-        outage_logs=outage_logs,
-        per_rep_ens_mwh=per_rep_ens,
-        per_rep_spilled_mwh=per_rep_spilled,
-    )
-
-
-def sweep_repair_time(scenario: Scenario,
-                      repair_values: list[float]) -> list[tuple[float, float, float]]:
-    """Re-run the simulation per repair time with identical seeds, so only
-    the outage durations change. Rows: (repair_hours, ens MWh, spilled MWh)."""
-    return [(value, report.total_ens_mwh, report.total_spilled_mwh)
-            for value, report in sweep_reports(scenario, repair_values)]
+    return series, logs
 
 
 def check_repair_values(repair_values: list[float]) -> None:
@@ -383,22 +328,59 @@ def check_repair_values(repair_values: list[float]) -> None:
         raise ValidationError("repair_values must be strictly increasing")
 
 
-def sweep_reports(scenario: Scenario,
-                  repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
-    """One (repair_hours, report) pair per repair time, as
-    :func:`sweep_repair_time` describes. The shadow does not depend on the
-    repair time, so every run shares one."""
+def _validate(scenario: Scenario, repair_values: list[float]) -> None:
+    """Raise ValidationError unless ``repair_values`` pass
+    :func:`check_repair_values` and the scenario is valid at each."""
     check_repair_values(repair_values)
-    variants = [replace(scenario, repair_hours=value) for value in repair_values]
-    # The variants differ only in repair time: validate the first in full and
-    # the others' repair times before the shared shadow is computed.
-    problems = validate_scenario(variants[0])
-    problems += [p for variant in variants[1:] for p in _run_problems(variant)]
+    # Only the repair time differs between the points: validate the first in
+    # full and the others' repair times.
+    problems = validate_scenario(replace(scenario, repair_hours=repair_values[0]))
+    problems += [p for value in repair_values[1:] for p in _repair_problems(value)]
     if problems:
         raise ValidationError("; ".join(problems))
-    shadow = compute_shadow(scenario)
-    return [(variant.repair_hours, run_simulation(variant, shadow=shadow))
-            for variant in variants]
+
+
+def run_replication(scenario: Scenario,
+                    replication_index: int) -> tuple[FleetSeries, list[OutageEvent]]:
+    """Sample outages, dispatch the disturbed feeders, and return fleet
+    totals plus the outage log for one replication: the Monte Carlo pass of
+    :func:`sweep_reports` on this replication and repair time alone."""
+    _validate(scenario, [scenario.repair_hours])
+    series, logs = _monte_carlo(scenario, compute_shadow(scenario),
+                                [scenario.repair_hours], [replication_index])
+    return FleetSeries(*series[0, 0]), logs[0][0]
+
+
+def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
+    """The scenario's report: a sweep of its own repair time alone.
+    ``workers`` is accepted for compatibility and ignored: replications run
+    serially, in chunks."""
+    return sweep_reports(scenario, [scenario.repair_hours])[0][1]
+
+
+def sweep_reports(scenario: Scenario,
+                  repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
+    """One (repair_hours, report) pair per repair time, with identical
+    seeds, so only the outage durations change. Every point shares one
+    shadow and one Monte Carlo pass; each point's replications are summed
+    in index order and averaged element-wise."""
+    _validate(scenario, repair_values)
+    series, logs = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
+                                range(scenario.replications))
+    reports = []
+    for value, runs, outage_logs in zip(repair_values, series, logs):
+        total = _fold(np.zeros(runs.shape[1:]), np.moveaxis(runs, 0, -1))
+        mean = FleetSeries(*(total * (1.0 / len(runs))))
+        reports.append((value, SimulationReport(
+            mean_series=mean,
+            total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,
+            total_spilled_mwh=float(mean.spilled_kw.sum()) / 1000.0,
+            max_ru_total_kw=float(mean.ru_total_kw.max()),
+            outage_logs=outage_logs,
+            per_rep_ens_mwh=[float(s[2].sum()) / 1000.0 for s in runs],
+            per_rep_spilled_mwh=[float(s[3].sum()) / 1000.0 for s in runs],
+        )))
+    return reports
 
 
 def emit_report(report: SimulationReport,

@@ -77,8 +77,8 @@ def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
 
 def replication_from_hour0(scenario, replication_index, shadow):
     """One replication with every n-Grid on a disturbed feeder dispatched
-    from its initial state through every hour; returns (series, events)
-    like ``harness.run_replication``."""
+    from its initial state through every hour, n-Grids in the feeder's
+    listing order; returns (series, events) like ``harness.run_replication``."""
     H = scenario.horizon
     events = sample_outages(
         scenario.sor, scenario.repair_hours, H,
@@ -88,6 +88,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
 
     policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
     disturbed = sorted({ev.feeder_id for ev in events})
+    listed = {f.id: f.ngrid_ids for f in scenario.fleet.feeders}
     for feeder_id in disturbed:
         load, pv, ru_kw, rd_kw = shadow.totals[feeder_id]
         mask = np.zeros(H, dtype=bool)
@@ -98,7 +99,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
         series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
         series.load_kw -= load
         series.pv_kw -= pv
-        for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
+        for ngrid in map(scenario.fleet.ngrid, listed[feeder_id]):
             state = initial_state(ngrid)
             for h in range(H):
                 if mask[h]:

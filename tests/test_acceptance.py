@@ -16,8 +16,7 @@ from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
 from ngridsim.fleet import Feeder, Fleet, HourlyProfile, NGrid, StorageUnit
 from ngridsim.harness import (Scenario, feeder_rng, run_replication,
-                              run_simulation, sample_outages,
-                              sweep_repair_time)
+                              run_simulation, sample_outages, sweep_reports)
 from ngridsim.metrics import LabeledScore, final_metric, prc_auc, roc_auc
 from ngridsim.sor import (FeatureRow, SorTable, evaluate, train,
                           training_loss_curve)
@@ -103,11 +102,11 @@ def test_criterion_05_repair_time_sweep_monotone_and_plausible():
     repairs = [1.0, 2.0, 3.0, 4.0, 5.0]
 
     scenario = build_case_study(replications=10)
-    rows = sweep_repair_time(scenario, repairs)
-    ens = [r[1] for r in rows]
+    runs = sweep_reports(scenario, repairs)
+    ens = [report.total_ens_mwh for _, report in runs]
     assert all(b >= a for a, b in zip(ens, ens[1:]))
     assert ens[0] < 1.0
-    assert 0.1 <= rows[0][2] <= 10.0
+    assert 0.1 <= runs[0][1].total_spilled_mwh <= 10.0
 
     # Storage-free control: constant load, no PV or flexibility, one certain
     # outage at hour 0 -> ENS grows exactly one hour of load per repair hour.
@@ -118,8 +117,8 @@ def test_criterion_05_repair_time_sweep_monotone_and_plausible():
     fleet = Fleet(feeders=(Feeder("F1", tuple(n.id for n in ngrids)),), ngrids=ngrids)
     sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})
     control = Scenario(fleet=fleet, sor=sor, horizon=H, replications=1)
-    crows = sweep_repair_time(control, repairs)
-    diffs = [b[1] - a[1] for a, b in zip(crows, crows[1:])]
+    cens = [report.total_ens_mwh for _, report in sweep_reports(control, repairs)]
+    diffs = [b - a for a, b in zip(cens, cens[1:])]
     for d in diffs:
         assert abs(d - diffs[0]) < 1e-9
     assert abs(diffs[0] - 20 * 2.0 / 1000.0) < 1e-9

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fuzzing import random_fleet
-from ngridsim import casestudy, cli, harness
+from ngridsim import casestudy, harness
 from ngridsim.cli import main
 from ngridsim.config import load_scenario, parse_plug_hours
 from ngridsim.dispatch import FleetArrays
@@ -147,6 +147,13 @@ class TestCliExitCodes:
         assert main(["sweep", "--scenario", str(scenario), "--repair", "3,1",
                      "--out", str(tmp_path / "out")]) == 1
 
+    def test_sweep_names_bad_repair_item(self, tmp_path, capsys):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        assert main(["sweep", "--scenario", str(scenario), "--repair", "1,x",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: --repair: 'x' is not a number\n"
+
     def test_metrics_subcommand(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("label,score\n1,0.9\n0,0.2\n1,0.7\n0,0.4\n")
@@ -271,31 +278,32 @@ class TestLoaderErrors:
 
 
 class TestSweepReuse:
-    @pytest.mark.parametrize("repair, runs, shadows", [("1,2,3", 3, 1), ("2,3", 3, 1)])
-    def test_series_match_simulate(self, tmp_path, monkeypatch, capsys, repair, runs, shadows):
+    @pytest.mark.parametrize("repair, points, shadows", [("1,2,3", 3, 1), ("2,3", 3, 1)])
+    def test_series_match_simulate(self, tmp_path, monkeypatch, capsys, repair, points,
+                                   shadows):
         """The sweep's series files are the scenario's own simulation (repair
-        1 h), run on the sweep's one shadow whether or not the sweep lists
-        it; sweep.csv and the printout hold only the listed times."""
+        1 h), run as a point of the sweep's one shadow and one Monte Carlo
+        pass whether or not the sweep lists it; sweep.csv and the printout
+        hold only the listed times."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
         assert main(["simulate", "--scenario", str(scenario),
                      "--out", str(tmp_path / "sim")]) == 0
-        calls = {"run_simulation": 0, "compute_shadow": 0}
+        calls = {"_monte_carlo": [], "compute_shadow": []}
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(name):
+            original = getattr(harness, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
+            def wrapper(*args):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(harness, name, wrapper)
 
-        counted(harness, "run_simulation")
-        counted(harness, "compute_shadow")
-        monkeypatch.setattr(cli, "run_simulation", harness.run_simulation)
+        counted("_monte_carlo")
+        counted("compute_shadow")
         assert main(["sweep", "--scenario", str(scenario), "--repair", repair,
                      "--out", str(tmp_path / "swp")]) == 0
-        assert calls["run_simulation"] == runs
-        assert calls["compute_shadow"] == shadows
+        assert [len(args[2]) for args in calls["_monte_carlo"]] == [points]
+        assert len(calls["compute_shadow"]) == shadows
         listed = [float(v) for v in repair.split(",")]
         lines = (tmp_path / "swp" / "sweep.csv").read_text().splitlines()
         assert [float(line.split(",")[0]) for line in lines[1:]] == listed

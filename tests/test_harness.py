@@ -9,15 +9,16 @@ import pytest
 
 from fuzzing import random_fleet
 from ngridsim import harness
+from ngridsim.casestudy import write_bundle
 from ngridsim.cli import main
+from ngridsim.config import load_scenario
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit,
                             validate_fleet)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
                               emit_report, feeder_rng, islanded_masks,
                               run_replication, run_simulation, sample_outages,
-                              sweep_repair_time, sweep_reports,
-                              validate_scenario)
+                              sweep_reports, validate_scenario)
 from ngridsim.sor import SorTable
 from oracles import (replication_from_hour0, sample_outages_scan,
                      simulation_from_hour0)
@@ -201,7 +202,7 @@ class TestRunReplication:
             scenario = Scenario(fleet=fleet, sor=flat_sor(["F1", "F2"], overrides=overrides),
                                 horizon=H, repair_hours=2.0)
             shadow = compute_shadow(scenario)
-            got, events = run_replication(scenario, 0, shadow)
+            got, events = run_replication(scenario, 0)
             want, want_events = replication_from_hour0(scenario, 0, shadow)
             assert events == want_events == \
                 [OutageEvent("F1", 5, 2)] * f1_fails + [OutageEvent("F2", 3, 2)]
@@ -272,13 +273,14 @@ class TestShadowTables:
 @pytest.fixture
 def step_log(monkeypatch):
     """Records (n-Grid ids of the stepped rows, hour, islanded) for every
-    kernel step the harness makes through its module-level ``step``."""
+    kernel step on given rows the harness makes through its module-level
+    ``step``; the shadow's whole-fleet steps are not recorded."""
     log = []
     kernel = harness.step
 
     def counted(block, state, hour, islanded, frac, rows=None):
-        log.append((block.ids if rows is None else tuple(block.ids[r] for r in rows),
-                    hour, islanded))
+        if rows is not None:
+            log.append((tuple(block.ids[r] for r in rows), hour, islanded))
         return kernel(block, state, hour, islanded, frac, rows)
 
     monkeypatch.setattr(harness, "step", counted)
@@ -323,7 +325,7 @@ class TestIncrementalReplication:
             shadow = compute_shadow(scenario)
             for rep in range(4):
                 step_log.clear()
-                got, events = run_replication(scenario, rep, shadow)
+                got, events = run_replication(scenario, rep)
                 want, want_events = replication_from_hour0(scenario, rep, shadow)
                 assert events == want_events
                 for name in SERIES_FIELDS:
@@ -369,9 +371,8 @@ class TestIncrementalReplication:
                       ngrids=(n1, n2, n3))
         sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
-        shadow = compute_shadow(scenario)
         step_log.clear()
-        run_replication(scenario, 0, shadow)
+        run_replication(scenario, 0)
 
         # The stopping hour, found with the scalar steppers alone.
         last = min(k + 1, H - 1)
@@ -469,7 +470,7 @@ class TestChunks:
             for budget in (1, 3, 7, 10**6):
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
                 chunk_log.clear()
-                assert_same_report(run_simulation(scenario, shadow=shadow), want)
+                assert_same_report(run_simulation(scenario), want)
                 chunks_of = {}
                 logged = chunks(chunk_log)
                 for k, (groups, calls) in enumerate(logged):
@@ -489,35 +490,33 @@ class TestChunks:
                 seen["replication over several chunks"] |= max(chunks_of.values()) > 1
         assert all(seen.values()), seen
 
-    def test_replication_handed_on_once_whole(self, monkeypatch, chunk_log):
-        """When a replication is sampled, every earlier one is already
-        yielded, except those from the first one with a group still
-        queued: the queue holds at most the replications of one chunk."""
-        monkeypatch.setattr(harness, "ROW_BUDGET", 7)
-        sampler = harness.sample_outages
-        monkeypatch.setattr(harness, "sample_outages",
-                            lambda *args: chunk_log.append(("sample",)) or sampler(*args))
-        waited = 0
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_sweep_points_share_chunks(self, precharge, monkeypatch, chunk_log):
+        """A sweep runs every repair time's groups through the same chunks:
+        each point's report equals the from-hour-0 simulation at its repair
+        time by bytes, whatever the row budget."""
+        seen = {"chunk of two repair times": False}
+        values = [1.0, 2.5, 4.0]
+
+        def point(view):
+            """The repair-time index of a ``[p, r]`` view of the pass's series."""
+            return (view.ctypes.data - view.base.ctypes.data) // view.base[0].nbytes
+
         for seed in range(3):
-            scenario = self.sparse_scenario(seed, 4, 3, 16, "full")
-            chunk_log.clear()
-            rep_of = {}
-            for series, _ in harness._replications(scenario, compute_shadow(scenario),
-                                                   range(16)):
-                chunk_log.append(("yield", series))  # kept alive: ids stay distinct
-                rep_of[id(series)] = len(rep_of)
-            sampled = yielded = 0
-            for k, entry in enumerate(chunk_log):
-                if entry[0] == "sample":
-                    # The first queued group is the next chunk's first group.
-                    queued = next((rep_of[id(e[1][0][0])] for e in chunk_log[k:]
-                                   if e[0] == "chunk"), sampled)
-                    assert yielded == min(queued, sampled), (seed, sampled)
-                    waited += queued < sampled
-                    sampled += 1
-                elif entry[0] == "yield":
-                    yielded += 1
-        assert waited > 0
+            scenario = self.sparse_scenario(seed, 4, 3, 8, precharge)
+            shadow = compute_shadow(scenario)
+            wants = [simulation_from_hour0(replace(scenario, repair_hours=value), shadow)
+                     for value in values]
+            for budget in (1, 3, 7, 10**6):
+                monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+                chunk_log.clear()
+                runs = sweep_reports(scenario, values)
+                assert [value for value, _ in runs] == values
+                for (_, got), want in zip(runs, wants):
+                    assert_same_report(got, want)
+                for groups, _ in chunks(chunk_log):
+                    seen["chunk of two repair times"] |= len({point(s) for s, _ in groups}) > 1
+        assert all(seen.values()), seen
 
     @pytest.mark.parametrize("precharge", ["full", "sor"])
     def test_feeders_of_one(self, precharge, monkeypatch):
@@ -529,7 +528,7 @@ class TestChunks:
             want = simulation_from_hour0(scenario, shadow)
             for budget in (default, 1):
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
-                assert_same_report(run_simulation(scenario, shadow=shadow), want)
+                assert_same_report(run_simulation(scenario), want)
 
 
 class TestRunSimulation:
@@ -572,6 +571,25 @@ class TestRunSimulation:
         assert main(["simulate", "--scenario", str(write_tiny_bundle(tmp_path / "tiny")),
                      "--out", str(tmp_path / "out"), "--workers", "4"]) == 0
 
+    def test_same_report_after_bundle_round_trip(self, tmp_path):
+        """A fleet file lists n-Grids only under their feeders, so a fleet
+        whose n-Grid order differs from its listings reloads in listing
+        order; each feeder's n-Grids are summed in listing order, so the
+        report does not change by a bit. Values have at most 6 decimals,
+        which the CSVs hold exactly."""
+        for seed in range(5):
+            rng = random.Random(seed)
+            shuffled = random_fleet(rng, n_feeders=3, ngrids_per_feeder=6)
+            fleet = Fleet(shuffled.feeders, tuple(
+                replace(ng, base_load=HourlyProfile(round(v, 6) for v in ng.base_load.values),
+                        pv=HourlyProfile(round(v, 6) for v in ng.pv.values))
+                for ng in shuffled.ngrids))
+            scenario = Scenario(fleet=fleet, sor=flat_sor([f.id for f in fleet.feeders], 0.3),
+                                horizon=H, repair_hours=2.0, replications=30, master_seed=seed)
+            again = load_scenario(write_bundle(scenario, tmp_path / str(seed)))
+            assert [ng.id for ng in again.fleet.ngrids] != [ng.id for ng in fleet.ngrids]
+            assert_same_report(run_simulation(again), run_simulation(scenario))
+
     def test_scalar_steppers_not_called(self, monkeypatch):
         """Simulations and sweeps dispatch through the block kernel only."""
         def refuse(*args):
@@ -595,20 +613,20 @@ class TestSweep:
     def test_single_value_matches_run_simulation(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 1.0})
         scenario = single_ngrid_scenario(load=2.0, sor=sor, replications=2)
-        rows = sweep_repair_time(scenario, [1.0])
-        report = run_simulation(scenario)
-        assert rows == [(1.0, report.total_ens_mwh, report.total_spilled_mwh)]
+        (value, got), = sweep_reports(scenario, [1.0])
+        assert value == 1.0
+        assert_same_report(got, run_simulation(scenario))
 
     def test_zero_sor_all_zero(self):
         scenario = single_ngrid_scenario()
-        rows = sweep_repair_time(scenario, [1.0, 2.0, 3.0])
-        assert all(ens == 0.0 and spilled == 0.0 for _, ens, spilled in rows)
+        runs = sweep_reports(scenario, [1.0, 2.0, 3.0])
+        assert all(r.total_ens_mwh == 0.0 and r.total_spilled_mwh == 0.0 for _, r in runs)
 
     def test_storage_free_linear_growth(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 1.0})
         scenario = single_ngrid_scenario(load=2.0, sor=sor, replications=1)
-        rows = sweep_repair_time(scenario, [1.0, 2.0, 3.0, 4.0, 5.0])
-        diffs = [b[1] - a[1] for a, b in zip(rows, rows[1:])]
+        ens = [r.total_ens_mwh for _, r in sweep_reports(scenario, [1.0, 2.0, 3.0, 4.0, 5.0])]
+        diffs = [b - a for a, b in zip(ens, ens[1:])]
         for d in diffs:
             assert abs(d - 0.002) < 1e-9  # one extra hour of 2 kW per repair hour
 
@@ -631,11 +649,11 @@ class TestSweep:
     def test_bad_repair_lists_rejected(self):
         scenario = single_ngrid_scenario()
         with pytest.raises(ValidationError):
-            sweep_repair_time(scenario, [])
+            sweep_reports(scenario, [])
         with pytest.raises(ValidationError):
-            sweep_repair_time(scenario, [2.0, 1.0])
+            sweep_reports(scenario, [2.0, 1.0])
         with pytest.raises(ValidationError, match="repair_hours"):
-            sweep_repair_time(scenario, [1.0, float("nan")])
+            sweep_reports(scenario, [1.0, float("nan")])
 
     def test_fleet_validated_once(self, monkeypatch):
         calls = []
