@@ -11,6 +11,7 @@ declaring BESS, EVs (plug hours as ranges like ``0-6,19-23``), HVAC
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import yaml
 
@@ -22,6 +23,7 @@ from .tables import ValidationError, read_table
 
 PROFILE_COLUMNS = ("ngrid_id", "hour", "load_kw", "pv_kw")
 DERATE_COLUMNS = ("feeder_id", "hour", "factor")
+SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
 def parse_plug_hours(spec) -> set[int]:
@@ -178,13 +180,14 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(f"{path}: missing required key {key!r}")
         return os.path.join(base_dir, str(doc[key]))
 
-    def scalar(key: str, convert, default):
+    def scalar(key: str, convert, name: str | None = None):
+        """``doc[key]`` converted, else Scenario's default for ``name or key``."""
         try:
-            return convert(doc.get(key, default))
+            return convert(doc.get(key, SCENARIO_DEFAULTS[name or key]))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: field {key!r}: {exc}") from None
 
-    horizon = scalar("horizon", int, 24)
+    horizon = scalar("horizon", int)
     fleet = load_fleet(resolve("fleet"), resolve("profiles"), horizon)
     sor = load_sor_table(resolve("sor"))
     derate = None
@@ -194,10 +197,10 @@ def load_scenario(path) -> Scenario:
         fleet=fleet,
         sor=sor,
         horizon=horizon,
-        repair_hours=scalar("repair_hours", float, 1.0),
-        replications=scalar("replications", int, 1),
-        master_seed=scalar("seed", int, 0),
-        sr_delivery_hours=scalar("sr_delivery_hours", float, 1.0),
+        repair_hours=scalar("repair_hours", float),
+        replications=scalar("replications", int),
+        master_seed=scalar("seed", int, "master_seed"),
+        sr_delivery_hours=scalar("sr_delivery_hours", float),
         derate=derate,
-        precharge=str(doc.get("precharge", "full")),
+        precharge=scalar("precharge", str),
     )

@@ -18,12 +18,13 @@ rows, and a chunk is stepped hour by hour with at most two kernel calls an
 hour, one on its islanded rows and one on its connected rows. A group
 starts from the shadow's states at its first outage hour and, after its
 last islanded hour, drops out once every row's state equals the shadow's
-after a connected hour: the kernel computes each row on its own, so from
-then on connected dispatch repeats the shadow, whose values fill the hours
-a row is not stepped. Each hour's totals are summed in the order of a
-from-hour-0 re-dispatch of one n-Grid after another, each feeder's n-Grids
-in their ``fleet.yaml`` listing order, and a point's replications in index
-order, so results are bit-identical to it, whatever the chunks.
+after a connected hour, as connected dispatch then repeats the shadow.
+A replication's series is the shadow's baseline plus, at each hour a group
+is stepped, its feeder's load, ENS and spill summed over its n-Grids in
+``fleet.yaml`` listing order from 0.0, less the shadow's feeder totals;
+groups add in feeder id order, and islanded hours lose the feeder's ramp.
+So results are bit-identical to a from-hour-0 re-dispatch summed by the
+same rule, whatever the chunks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,8 +43,6 @@ from .tables import ValidationError, write_table
 
 
 SOR_LOOKAHEAD_HOURS = 4
-SERIES_FIELDS = ("load_kw", "pv_kw", "ens_kw", "spilled_kw",
-                 "ru_total_kw", "ru_avail_kw", "rd_total_kw", "rd_avail_kw")
 
 
 @dataclass
@@ -123,6 +122,9 @@ class FleetSeries:
     rd_avail_kw: np.ndarray
 
 
+SERIES_FIELDS = tuple(f.name for f in fields(FleetSeries))
+
+
 @dataclass
 class SimulationReport:
     mean_series: FleetSeries
@@ -171,16 +173,14 @@ def islanded_masks(events: list[OutageEvent], horizon: int) -> list[tuple[str, n
 @dataclass
 class _Shadow:
     """The no-outage run, n-Grids in fleet order: arrays, recharge target
-    fractions ``(H, N)``, states before each hour (``states[H]`` after the
-    last) and served load, PV, ENS (0) and spill (0) ``rows`` ``(4, H, N)``.
-    Per feeder: its n-Grids' ``feeder_rows`` and its load, PV, ramp-up and
-    ramp-down ``totals`` ``(4, H)`` in listing order; ``baseline`` is the
-    fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order."""
+    fractions ``(H, N)`` and states before each hour (``states[H]`` after
+    the last). Per feeder: its n-Grids' ``feeder_rows`` and its load, PV,
+    ramp-up and ramp-down ``totals`` ``(4, H)`` summed in listing order;
+    ``baseline`` is the fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order."""
 
     arrays: FleetArrays
     frac: np.ndarray
     states: FleetState
-    rows: np.ndarray
     feeder_rows: dict[str, np.ndarray]
     totals: dict[str, np.ndarray]
     baseline: np.ndarray
@@ -238,26 +238,28 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     feeder_rows = {f.id: np.array([row_of[nid] for nid in f.ngrid_ids], dtype=np.intp)
                    for f in fleet.feeders}
     totals = {f: _fold(np.zeros((4, H)), rows[..., r]) for f, r in feeder_rows.items()}
-    rows[2:] = 0.0  # no ENS or spill while grid-tied
     load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)), np.array(
         list(totals.values())).reshape(-1, 4, H).transpose(1, 2, 0))
     baseline = np.array([load, pv, *np.zeros((2, H)), ru_kw, ru_kw, rd_kw, rd_kw])
-    return _Shadow(arrays, frac, states, rows, feeder_rows, totals, baseline)
+    return _Shadow(arrays, frac, states, feeder_rows, totals, baseline)
 
 
-def _step_chunk(shadow: _Shadow, chunk: list[tuple[np.ndarray, str, np.ndarray]]) -> None:
-    """Step the rows of every (replication's series, disturbed feeder,
-    islanded hours) group of ``chunk`` together, as the module docstring
-    describes, then fold each into its series (as _Shadow.baseline)."""
+def _step_chunk(shadow: _Shadow, series: np.ndarray, chunk: list) -> None:
+    """Step the rows of every (series offset, disturbed feeder, islanded
+    hours) group of ``chunk`` together, as the module docstring describes;
+    an offset is the flat index of a series' first element in ``series``."""
     H = len(shadow.frac)
     sizes = [len(shadow.feeder_rows[f]) for _, f, _ in chunk]
     idx = np.concatenate([shadow.feeder_rows[f] for _, f, _ in chunk])
     group = np.repeat(np.arange(len(chunk)), sizes)
     masks = np.array([mask for _, _, mask in chunk])
+    load = np.array([shadow.totals[f][0] for _, f, _ in chunk])
+    # The flat index of each group's load, ENS and spill at hour 0.
+    at = np.array([offset for offset, _, _ in chunk]) + np.array([[0], [2 * H], [3 * H]])
     first, last = masks.argmax(axis=1), H - 1 - masks[:, ::-1].argmax(axis=1)
     islanded, start = masks[group], first[group]
     state = FleetState(*(a[start, idx] for a in shadow.states))
-    out = shadow.rows.take(idx, 2)
+    now = np.empty((3, len(idx)))  # this hour's load, ENS and spill per row
     done = np.zeros(len(chunk), dtype=bool)
     for h in range(int(first.min()), H):
         live = np.flatnonzero((start <= h) & ~done[group])
@@ -268,9 +270,13 @@ def _step_chunk(shadow: _Shadow, chunk: list[tuple[np.ndarray, str, np.ndarray]]
                                   h, mode, shadow.frac[h].take(idx[sel]), idx[sel])
                 for a, b in zip(state, new):
                     a[sel] = b
-                out[0, h, sel] = flows.served + flows.ens
-                out[2, h, sel] = flows.ens
-                out[3, h, sel] = flows.spilled
+                now[:, sel] = flows.served + flows.ens, flows.ens, flows.spilled
+        # Each stepped group's rows summed from 0.0 in index order, less the
+        # shadow's feeder load (its ENS and spill are 0), added in group order.
+        change = np.array([np.bincount(group[live], w, len(chunk)) for w in now[:, live]], float)
+        change[0] -= load[:, h]
+        stepped = np.flatnonzero((first <= h) & ~done)
+        np.add.at(series.reshape(-1), at[:, stepped] + h, change[:, stepped])
         check = live[last[group[live]] < h]
         same = (state.bess[check] == shadow.states.bess[h + 1].take(idx[check])) & (
             (state.ev[check] == shadow.states.ev[h + 1].take(idx[check], 0)).all(axis=1)) & (
@@ -279,17 +285,6 @@ def _step_chunk(shadow: _Shadow, chunk: list[tuple[np.ndarray, str, np.ndarray]]
         done[group[check[~same]]] = False
         if done.all():
             break
-    for (series, feeder_id, mask), rows in zip(chunk, np.split(out, np.cumsum(sizes)[:-1], 2)):
-        totals = shadow.totals[feeder_id]
-        # Islanded n-Grids deliver no ramp-up or ramp-down capacity (rows 5
-        # and 7); healthy-feeder contributions are identical in total and
-        # available series.
-        series[5::2] -= np.where(mask, totals[2:], 0.0)
-        series[:2] -= totals[:2]
-        # Rows are in the feeder's listing order, as in ``totals``, so each
-        # hour's sum keeps the order of a from-hour-0 re-dispatch of one
-        # n-Grid after another.
-        series[:4] = _fold(series[:4], rows)
 
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
@@ -307,15 +302,17 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
             events = sample_outages(scenario.sor, value, H,
                                     lambda fid: feeder_rng(scenario.master_seed, i, fid))
             logs[p].append(events)
-            view = series[p, r]  # one object for all of this replication's groups
             for feeder_id, mask in islanded_masks(events, H):
-                chunk.append((view, feeder_id, mask))
+                # Islanded n-Grids deliver no ramp-up or ramp-down capacity
+                # (rows 5 and 7): the total series keep their contribution.
+                series[p, r, 5::2] -= np.where(mask, shadow.totals[feeder_id][2:], 0.0)
+                chunk.append((np.ravel_multi_index((p, r, 0, 0), series.shape), feeder_id, mask))
                 queued += len(shadow.feeder_rows[feeder_id])
                 if queued >= ROW_BUDGET:
-                    _step_chunk(shadow, chunk)
+                    _step_chunk(shadow, series, chunk)
                     chunk, queued = [], 0
     if chunk:
-        _step_chunk(shadow, chunk)
+        _step_chunk(shadow, series, chunk)
     return series, logs
 
 

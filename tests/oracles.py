@@ -77,8 +77,12 @@ def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
 
 def replication_from_hour0(scenario, replication_index, shadow):
     """One replication with every n-Grid on a disturbed feeder dispatched
-    from its initial state through every hour, n-Grids in the feeder's
-    listing order; returns (series, events) like ``harness.run_replication``."""
+    from its initial state through every hour; returns (series, events) like
+    ``harness.run_replication``. The series is the shadow's baseline plus,
+    per disturbed feeder in id order, its n-Grids' load, ENS and spill summed
+    from 0.0 in listing order less the shadow's feeder totals, and less its
+    ramp totals at islanded hours. At an hour where the re-dispatch repeats
+    the shadow that change is 0.0, which keeps the baseline's bits."""
     H = scenario.horizon
     events = sample_outages(
         scenario.sor, scenario.repair_hours, H,
@@ -90,15 +94,14 @@ def replication_from_hour0(scenario, replication_index, shadow):
     disturbed = sorted({ev.feeder_id for ev in events})
     listed = {f.id: f.ngrid_ids for f in scenario.fleet.feeders}
     for feeder_id in disturbed:
-        load, pv, ru_kw, rd_kw = shadow.totals[feeder_id]
+        load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
         mask = np.zeros(H, dtype=bool)
         for ev in events:
             if ev.feeder_id == feeder_id:
                 mask[ev.start_hour:ev.start_hour + ev.duration_hours] = True
         series.ru_avail_kw -= np.where(mask, ru_kw, 0.0)
         series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
-        series.load_kw -= load
-        series.pv_kw -= pv
+        feeder_load, ens, spilled = np.zeros((3, H))
         for ngrid in map(scenario.fleet.ngrid, listed[feeder_id]):
             state = initial_state(ngrid)
             for h in range(H):
@@ -106,10 +109,12 @@ def replication_from_hour0(scenario, replication_index, shadow):
                     outcome, state = islanded_step(ngrid, state, h)
                 else:
                     outcome, state = connected_step(ngrid, state, h, policy)
-                series.load_kw[h] += outcome.served_load_kw + outcome.ens_kw
-                series.pv_kw[h] += outcome.pv_kw
-                series.ens_kw[h] += outcome.ens_kw
-                series.spilled_kw[h] += outcome.spilled_kw
+                feeder_load[h] += outcome.served_load_kw + outcome.ens_kw
+                ens[h] += outcome.ens_kw
+                spilled[h] += outcome.spilled_kw
+        series.load_kw += feeder_load - load
+        series.ens_kw += ens
+        series.spilled_kw += spilled
     return series, events
 
 

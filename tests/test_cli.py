@@ -67,6 +67,17 @@ class TestConfigLoading:
         assert ng.deferrables[0].deadline_hour == 16
         assert scenario.sor.get("F1", 2) == 1.0
 
+    def test_omitted_settings_take_scenario_defaults(self, tmp_path):
+        """A scenario file naming only its fleet, profiles and SoR table
+        loads with every other ``Scenario`` field at its default."""
+        path = write_tiny_bundle(tmp_path / "tiny")
+        path.write_text("fleet: fleet.yaml\nprofiles: profiles.csv\nsor: sor.csv\n")
+        scenario = load_scenario(path)
+        for field in fields(Scenario):
+            if field.name not in ("fleet", "sor"):
+                assert getattr(scenario, field.name) == field.default, field.name
+        assert validate_scenario(scenario) == []
+
     def test_bundle_round_trip(self, tmp_path):
         """``casestudy.write_bundle`` writes what ``load_scenario`` reads:
         efficiencies below 1, per-hour HVAC, derate and every setting.

@@ -9,7 +9,7 @@ import pytest
 
 from fuzzing import random_fleet
 from ngridsim import harness
-from ngridsim.casestudy import write_bundle
+from ngridsim.casestudy import build_case_study, write_bundle
 from ngridsim.cli import main
 from ngridsim.config import load_scenario
 from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit,
@@ -394,6 +394,39 @@ class TestIncrementalReplication:
         assert hours == {"N1": list(range(k, stop + 1)), "N2": list(range(k, stop + 1))}
 
 
+class TestUndisturbedHours:
+    """A replication's series keeps the shadow baseline's bits wherever its
+    stepped hours change nothing: PV at every hour, and every series at
+    each hour before its first outage starts."""
+
+    @staticmethod
+    def assert_baseline_kept(scenario, replications):
+        """Checks every replication at three repair times; returns how many
+        had an outage that starts after hour 0."""
+        shadow = compute_shadow(scenario)
+        values = [1.0, 2.5, 4.0]
+        series, logs = harness._monte_carlo(scenario, shadow, values, range(replications))
+        late = 0
+        for p, value in enumerate(values):
+            for r in range(replications):
+                got = series[p, r]
+                assert got[1].tobytes() == shadow.baseline[1].tobytes(), (value, r)
+                first = min((ev.start_hour for ev in logs[p][r]), default=H)
+                assert got[:, :first].tobytes() == shadow.baseline[:, :first].tobytes(), \
+                    (value, r, first)
+                late += 0 < first < H
+        return late
+
+    @pytest.mark.parametrize("precharge", ["full", "sor"])
+    def test_random_fleets(self, precharge):
+        for seed in range(6):
+            scenario = TestIncrementalReplication.random_scenario(seed, precharge)
+            assert self.assert_baseline_kept(scenario, 4) > 0, seed
+
+    def test_demo(self):
+        assert self.assert_baseline_kept(build_case_study(replications=20), 20) > 0
+
+
 def assert_same_report(got, want):
     """Every series, total, outage log and per-replication figure, by bytes."""
     for name in SERIES_FIELDS:
@@ -411,14 +444,14 @@ def assert_same_report(got, want):
 @pytest.fixture
 def chunk_log(monkeypatch, step_log):
     """``step_log`` with a ("chunk", groups) entry before the kernel steps
-    of each chunk, ``groups`` being its (replication's series, feeder id)
-    pairs; the log keeps each series alive, so their ids stay distinct."""
+    of each chunk, ``groups`` being its (series offset, feeder id) pairs;
+    the offset names the group's repair time and replication."""
     stepper = harness._step_chunk
 
-    def logged(shadow, chunk):
+    def logged(shadow, series, chunk):
         if chunk:
-            step_log.append(("chunk", [(series, f) for series, f, _ in chunk]))
-        return stepper(shadow, chunk)
+            step_log.append(("chunk", [(offset, f) for offset, f, _ in chunk]))
+        return stepper(shadow, series, chunk)
 
     monkeypatch.setattr(harness, "_step_chunk", logged)
     return step_log
@@ -474,7 +507,7 @@ class TestChunks:
                 chunks_of = {}
                 logged = chunks(chunk_log)
                 for k, (groups, calls) in enumerate(logged):
-                    reps = {id(series) for series, _ in groups}
+                    reps = {offset for offset, _ in groups}
                     seen["chunk of one replication"] |= len(reps) == 1
                     seen["chunk of several replications"] |= len(reps) > 1
                     for rep in reps:
@@ -498,9 +531,10 @@ class TestChunks:
         seen = {"chunk of two repair times": False}
         values = [1.0, 2.5, 4.0]
 
-        def point(view):
-            """The repair-time index of a ``[p, r]`` view of the pass's series."""
-            return (view.ctypes.data - view.base.ctypes.data) // view.base[0].nbytes
+        def point(offset):
+            """The repair-time index of a group's series offset in the pass's
+            flat ``(P, R, 8, H)`` series."""
+            return offset // (scenario.replications * len(SERIES_FIELDS) * H)
 
         for seed in range(3):
             scenario = self.sparse_scenario(seed, 4, 3, 8, precharge)
