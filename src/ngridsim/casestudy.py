@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from .config import DERATE_COLUMNS, PROFILE_COLUMNS
-from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
-                    HourlyProfile, HvacAsset, NGrid, StorageUnit)
+from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
+                    HvacAsset, NGrid, StorageUnit)
 from .harness import Scenario
 from .sor import SorTable, save_sor_table
 from .tables import write_table
@@ -59,7 +59,7 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
     total_sites = N_FEEDERS * NGRIDS_PER_FEEDER
     for f in range(N_FEEDERS):
         feeder_id = f"F{f + 1:02d}"
-        ngrid_ids = []
+        feeders.append(feeder_id)
         for k in range(NGRIDS_PER_FEEDER):
             site = f * NGRIDS_PER_FEEDER + k
             nid = f"N{site + 1:03d}"
@@ -92,8 +92,6 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
                                         earliest_hour=9, deadline_hour=16),)
             ngrids.append(NGrid(id=nid, feeder_id=feeder_id, base_load=base, pv=pv,
                                 bess=bess, evs=tuple(evs), hvac=hvac, deferrables=tasks))
-            ngrid_ids.append(nid)
-        feeders.append(Feeder(id=feeder_id, ngrid_ids=tuple(ngrid_ids)))
     assert ev_budget == 0, "EV allocation must total exactly 750"
 
     entries = {}
@@ -135,11 +133,14 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
         """A constant profile as its one value, any other as its list."""
         return profile[0] if len(set(profile.values)) == 1 else list(profile.values)
 
+    # Each feeder lists the n-Grids that name it, in fleet order.
+    members = {feeder_id: [] for feeder_id in scenario.fleet.feeders}
+    for ng in scenario.fleet.ngrids:
+        members[ng.feeder_id].append(ng)
     fleet_doc = {"feeders": []}
-    for feeder in scenario.fleet.feeders:
-        fdoc = {"id": feeder.id, "ngrids": []}
-        for nid in feeder.ngrid_ids:
-            ng = scenario.fleet.ngrid(nid)
+    for feeder_id, ngrids in members.items():
+        fdoc = {"id": feeder_id, "ngrids": []}
+        for ng in ngrids:
             ndoc = {"id": ng.id}
             if ng.bess is not None:
                 ndoc["bess"] = {"capacity_kwh": ng.bess.capacity_kwh,

@@ -15,8 +15,8 @@ from dataclasses import fields
 
 import yaml
 
-from .fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
-                    HourlyProfile, HvacAsset, NGrid, StorageUnit)
+from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
+                    HvacAsset, NGrid, StorageUnit)
 from .harness import Scenario
 from .sor import load_sor_table
 from .tables import ValidationError, read_table
@@ -39,21 +39,21 @@ def parse_plug_hours(spec) -> set[int]:
             lo, hi = part.split("-", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
-                raise ValidationError(f"plug hour range {part!r} is reversed")
+                raise ValueError(f"plug hour range {part!r} is reversed")
             hours.update(range(lo, hi + 1))
         else:
             hours.add(int(part))
     return hours
 
 
-def _profile(value, horizon: int, where: str) -> HourlyProfile:
+def _profile(value, horizon: int, field: str) -> HourlyProfile:
     if isinstance(value, (int, float)):
         return HourlyProfile.constant(float(value), horizon)
     if isinstance(value, (list, tuple)):
         if len(value) != horizon:
-            raise ValidationError(f"{where}: profile length {len(value)} != horizon {horizon}")
+            raise ValueError(f"{field}: profile length {len(value)} != horizon {horizon}")
         return HourlyProfile(value)
-    raise ValidationError(f"{where}: expected a number or a list of {horizon} numbers")
+    raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
 
 
 def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyProfile]]:
@@ -116,8 +116,8 @@ def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGri
     hvac = None
     if "hvac" in ndoc and ndoc["hvac"] is not None:
         hdoc = ndoc["hvac"]
-        hvac = HvacAsset(p_normal_kw=_profile(hdoc["p_normal"], horizon, f"n-Grid {nid} hvac"),
-                         p_min_kw=_profile(hdoc["p_min"], horizon, f"n-Grid {nid} hvac"))
+        hvac = HvacAsset(p_normal_kw=_profile(hdoc["p_normal"], horizon, "hvac p_normal"),
+                         p_min_kw=_profile(hdoc["p_min"], horizon, "hvac p_min"))
     tasks = []
     for tdoc in ndoc.get("deferrables", []) or []:
         tasks.append(DeferrableTask(energy_kwh=float(tdoc["energy_kwh"]),
@@ -143,7 +143,7 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
         for i, fdoc in enumerate(doc["feeders"]):
             where = f"feeder #{i}"
             feeder_id = str(fdoc["id"])
-            ngrid_ids = []
+            feeders.append(feeder_id)
             for j, ndoc in enumerate(fdoc.get("ngrids", [])):
                 where = f"feeder {feeder_id!r} n-Grid #{j}"
                 nid = str(ndoc["id"])
@@ -151,9 +151,7 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
                     raise ValidationError(f"{profiles_path}: no profile rows for n-Grid {nid!r}")
                 where = f"n-Grid {nid!r}"
                 ngrids.append(_parse_ngrid(ndoc, nid, feeder_id, profiles, horizon))
-                ngrid_ids.append(nid)
-            feeders.append(Feeder(id=feeder_id, ngrid_ids=tuple(ngrid_ids)))
-    except ValidationError:
+    except ValidationError:  # the profiles file's, which names that file
         raise
     except KeyError as exc:
         raise ValidationError(
@@ -188,6 +186,8 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(f"{path}: field {key!r}: {exc}") from None
 
     horizon = scalar("horizon", int)
+    if horizon < 1:
+        raise ValidationError(f"{path}: field 'horizon': must be >= 1, got {horizon}")
     fleet = load_fleet(resolve("fleet"), resolve("profiles"), horizon)
     sor = load_sor_table(resolve("sor"))
     derate = None

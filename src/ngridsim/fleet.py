@@ -3,7 +3,9 @@
 A nano-grid (n-Grid) is a single prosumer site: base electric load, rooftop
 PV, optionally a stationary battery, one or more EVs with plug schedules, an
 adjustable HVAC load, and deferrable tasks. N-Grids hang off distribution
-feeders; a feeder fault islands every n-Grid on it.
+feeders; a feeder fault islands every n-Grid on it. Membership is stored
+once, as each n-Grid's ``feeder_id``: a fleet's feeders are ids, and a
+feeder's n-Grids are the fleet's n-Grids that name it, in fleet order.
 
 All values here are immutable after construction, so one fleet serves
 every replication and sweep point. The evolving dispatch state (battery
@@ -157,33 +159,16 @@ class NGrid:
 
 
 @dataclass(frozen=True)
-class Feeder:
-    """A distribution circuit; one fault takes down all its n-Grids."""
-
-    id: str
-    ngrid_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ngrid_ids", tuple(self.ngrid_ids))
-
-
-@dataclass(frozen=True)
 class Fleet:
-    feeders: tuple[Feeder, ...]
+    """Feeder ids and n-Grids. A feeder's n-Grids are those whose
+    ``feeder_id`` names it, in fleet order."""
+
+    feeders: tuple[str, ...]
     ngrids: tuple[NGrid, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "feeders", tuple(self.feeders))
         object.__setattr__(self, "ngrids", tuple(self.ngrids))
-        # Lookup index; with duplicate ids (which validate_fleet reports)
-        # the first n-Grid wins, as a scan in fleet order would find it.
-        by_id: dict[str, NGrid] = {}
-        for ng in self.ngrids:
-            by_id.setdefault(ng.id, ng)
-        object.__setattr__(self, "_by_id", by_id)
-
-    def ngrid(self, ngrid_id: str) -> NGrid:
-        return self._by_id[ngrid_id]
 
 
 def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:
@@ -193,13 +178,17 @@ def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:
     well-formed and every downstream structural precondition holds.
     """
     report: list[str] = []
-    feeder_ids = {f.id for f in fleet.feeders}
-    ngrid_by_id: dict[str, NGrid] = {}
+    feeder_ids: set[str] = set()
+    for feeder_id in fleet.feeders:
+        if feeder_id in feeder_ids:
+            report.append(f"duplicate feeder id {feeder_id!r}")
+        feeder_ids.add(feeder_id)
 
+    seen: set[str] = set()
     for ng in fleet.ngrids:
-        if ng.id in ngrid_by_id:
+        if ng.id in seen:
             report.append(f"duplicate n-Grid id {ng.id!r}")
-        ngrid_by_id[ng.id] = ng
+        seen.add(ng.id)
         if ng.feeder_id not in feeder_ids:
             report.append(f"n-Grid {ng.id!r} references unknown feeder {ng.feeder_id!r}")
         for name, prof in (("base_load", ng.base_load), ("pv", ng.pv)):
@@ -219,22 +208,4 @@ def validate_fleet(fleet: Fleet, horizon: int = DEFAULT_HORIZON) -> list[str]:
                 report.append(f"n-Grid {ng.id!r} HVAC profile length != horizon {horizon}")
         for i, task in enumerate(ng.deferrables):
             report.extend(f"n-Grid {ng.id!r} task {i}: {e}" for e in task.check(horizon))
-
-    seen: set[str] = set()
-    for feeder in fleet.feeders:
-        for nid in feeder.ngrid_ids:
-            if nid in seen:
-                report.append(f"n-Grid {nid!r} listed under more than one feeder")
-            seen.add(nid)
-            ng = ngrid_by_id.get(nid)
-            if ng is None:
-                report.append(f"feeder {feeder.id!r} lists unknown n-Grid {nid!r}")
-            elif ng.feeder_id != feeder.id:
-                report.append(f"n-Grid {nid!r} on feeder {feeder.id!r} but declares "
-                              f"feeder {ng.feeder_id!r}")
-        if len(set(feeder.ngrid_ids)) != len(feeder.ngrid_ids):
-            report.append(f"feeder {feeder.id!r} lists duplicate n-Grid ids")
-    uncovered = set(ngrid_by_id) - seen
-    for nid in sorted(uncovered):
-        report.append(f"n-Grid {nid!r} not covered by any feeder")
     return report

@@ -21,8 +21,8 @@ last islanded hour, drops out once every row's state equals the shadow's
 after a connected hour, as connected dispatch then repeats the shadow.
 A replication's series is the shadow's baseline plus, at each hour a group
 is stepped, its feeder's load, ENS and spill summed over its n-Grids in
-``fleet.yaml`` listing order from 0.0, less the shadow's feeder totals;
-groups add in feeder id order, and islanded hours lose the feeder's ramp.
+fleet order from 0.0, less the shadow's feeder totals; groups add in
+feeder id order, and islanded hours lose the feeder's ramp.
 So results are bit-identical to a from-hour-0 re-dispatch summed by the
 same rule, whatever the chunks.
 """
@@ -78,12 +78,14 @@ def _repair_problems(repair_hours: float) -> list[str]:
 def validate_scenario(scenario: Scenario) -> list[str]:
     report = validate_fleet(scenario.fleet, scenario.horizon)
     report += _repair_problems(scenario.repair_hours)
+    if scenario.master_seed < 0:
+        report.append(f"master_seed must be >= 0, got {scenario.master_seed}")
     if scenario.replications < 1:
         report.append(f"replications must be >= 1, got {scenario.replications}")
     if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
         report.append(f"sr_delivery_hours must be finite and > 0, "
                       f"got {scenario.sr_delivery_hours}")
-    want = {(f.id, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
+    want = {(f, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
     have = {(f, h) for f in scenario.sor.feeder_ids for h in range(scenario.sor.horizon)}
     if missing := want - have:
         f, h = min(missing)
@@ -174,9 +176,10 @@ def islanded_masks(events: list[OutageEvent], horizon: int) -> list[tuple[str, n
 class _Shadow:
     """The no-outage run, n-Grids in fleet order: arrays, recharge target
     fractions ``(H, N)`` and states before each hour (``states[H]`` after
-    the last). Per feeder: its n-Grids' ``feeder_rows`` and its load, PV,
-    ramp-up and ramp-down ``totals`` ``(4, H)`` summed in listing order;
-    ``baseline`` is the fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order."""
+    the last). Per feeder: its n-Grids' ``feeder_rows``, in fleet order, and
+    its load, PV, ramp-up and ramp-down ``totals`` ``(4, H)`` summed in that
+    order; ``baseline`` is the fleet series, ``(8, H)`` in ``SERIES_FIELDS``
+    order."""
 
     arrays: FleetArrays
     frac: np.ndarray
@@ -234,9 +237,7 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     # (4, H, N): each n-Grid's served load, PV, ramp-up and ramp-down.
     rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
-    row_of = {ng.id: r for r, ng in enumerate(fleet.ngrids)}
-    feeder_rows = {f.id: np.array([row_of[nid] for nid in f.ngrid_ids], dtype=np.intp)
-                   for f in fleet.feeders}
+    feeder_rows = {f: np.flatnonzero(feeder_of_row == row_of_feeder[f]) for f in fleet.feeders}
     totals = {f: _fold(np.zeros((4, H)), rows[..., r]) for f, r in feeder_rows.items()}
     load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)), np.array(
         list(totals.values())).reshape(-1, 4, H).transpose(1, 2, 0))

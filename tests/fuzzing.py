@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
-                            HourlyProfile, HvacAsset, NGrid, StorageUnit)
+from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
+                            HvacAsset, NGrid, StorageUnit)
 from oracles import power_balance_residual
 from scalar_dispatch import NGridState, arrives, plugged
 
@@ -70,11 +70,11 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
     """A small fleet of whole-day n-Grids: BESS and EVs with efficiencies
     below 1 and power limits low enough that some never refill, up to
     ``max_evs`` EVs per n-Grid that arrive mid-day, per-hour HVAC, and
-    deferrable tasks. ``Fleet.ngrids`` is shuffled, so fleet order differs
-    from each feeder's listing order."""
+    deferrable tasks. ``Fleet.ngrids`` is shuffled, so the feeders' n-Grids
+    interleave in fleet order."""
     feeders, ngrids = [], []
     for f in range(n_feeders):
-        ids = []
+        feeders.append(f"F{f}")
         for n in range(ngrids_per_feeder):
             peak = rng.uniform(0.0, 9.0)
             pv = [max(0.0, peak * (1.0 - abs(h - 12.5) / 6.0)) for h in range(H)]
@@ -104,14 +104,11 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
                 earliest = rng.randrange(0, H)
                 tasks.append(DeferrableTask(rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0),
                                             earliest, rng.randrange(earliest, H)))
-            nid = f"N{f}-{n}"
-            ids.append(nid)
             ngrids.append(NGrid(
-                id=nid, feeder_id=f"F{f}",
+                id=f"N{f}-{n}", feeder_id=f"F{f}",
                 base_load=HourlyProfile([rng.uniform(0.0, 5.0) for _ in range(H)]),
                 pv=HourlyProfile(pv), bess=bess, evs=tuple(evs), hvac=hvac,
                 deferrables=tuple(tasks)))
-        feeders.append(Feeder(f"F{f}", tuple(ids)))
     rng.shuffle(ngrids)
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 

@@ -80,7 +80,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
     from its initial state through every hour; returns (series, events) like
     ``harness.run_replication``. The series is the shadow's baseline plus,
     per disturbed feeder in id order, its n-Grids' load, ENS and spill summed
-    from 0.0 in listing order less the shadow's feeder totals, and less its
+    from 0.0 in fleet order less the shadow's feeder totals, and less its
     ramp totals at islanded hours. At an hour where the re-dispatch repeats
     the shadow that change is 0.0, which keeps the baseline's bits."""
     H = scenario.horizon
@@ -92,7 +92,6 @@ def replication_from_hour0(scenario, replication_index, shadow):
 
     policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
     disturbed = sorted({ev.feeder_id for ev in events})
-    listed = {f.id: f.ngrid_ids for f in scenario.fleet.feeders}
     for feeder_id in disturbed:
         load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
         mask = np.zeros(H, dtype=bool)
@@ -102,7 +101,7 @@ def replication_from_hour0(scenario, replication_index, shadow):
         series.ru_avail_kw -= np.where(mask, ru_kw, 0.0)
         series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
         feeder_load, ens, spilled = np.zeros((3, H))
-        for ngrid in map(scenario.fleet.ngrid, listed[feeder_id]):
+        for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
             state = initial_state(ngrid)
             for h in range(H):
                 if mask[h]:

@@ -14,7 +14,7 @@ import pytest
 
 from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
-from ngridsim.fleet import Feeder, Fleet, HourlyProfile, NGrid, StorageUnit
+from ngridsim.fleet import Fleet, HourlyProfile, NGrid, StorageUnit
 from ngridsim.harness import (Scenario, feeder_rng, run_replication,
                               run_simulation, sample_outages, sweep_reports)
 from ngridsim.metrics import LabeledScore, final_metric, prc_auc, roc_auc
@@ -90,7 +90,7 @@ def test_criterion_04_sufficiency_gives_exact_zero_ens():
                 pv=HourlyProfile(pv), bess=StorageUnit(30.0, 4.0, 30.0))
     cases.append(ng2)
     for ng in cases:
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=24.0)
         series, _ = run_replication(scenario, 0)
@@ -114,7 +114,7 @@ def test_criterion_05_repair_time_sweep_monotone_and_plausible():
         NGrid(id=f"N{i}", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
               pv=HourlyProfile.zeros(H))
         for i in range(20))
-    fleet = Fleet(feeders=(Feeder("F1", tuple(n.id for n in ngrids)),), ngrids=ngrids)
+    fleet = Fleet(feeders=("F1",), ngrids=ngrids)
     sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})
     control = Scenario(fleet=fleet, sor=sor, horizon=H, replications=1)
     cens = [report.total_ens_mwh for _, report in sweep_reports(control, repairs)]

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import json
 import random
 from dataclasses import fields, replace
@@ -53,14 +54,14 @@ class TestConfigLoading:
     def test_plug_hours_parsing(self):
         assert parse_plug_hours("0-6,19-23") == set(range(7)) | set(range(19, 24))
         assert parse_plug_hours([1, 2, 3]) == {1, 2, 3}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValueError, match="reversed"):
             parse_plug_hours("9-3")
 
     def test_scenario_round_trip(self, tmp_path):
         scenario = load_scenario(write_tiny_bundle(tmp_path / "tiny"))
         assert scenario.replications == 3
         assert scenario.master_seed == 7
-        ng = scenario.fleet.ngrid("N1")
+        ng, = scenario.fleet.ngrids
         assert ng.bess.capacity_kwh == 10.0
         assert ng.evs[0].plug_hours == frozenset(range(7)) | frozenset(range(19, 24))
         assert ng.hvac.p_normal_kw[5] == 1.0
@@ -89,12 +90,12 @@ class TestConfigLoading:
         def rounded(profile):
             return HourlyProfile(round(v, 6) for v in profile.values)
 
-        # In listing order, the only order a fleet file holds.
+        # Grouped by feeder, the only order a fleet file holds.
         fleet = Fleet(shuffled.feeders, tuple(
             replace(ng, base_load=rounded(ng.base_load), pv=rounded(ng.pv))
-            for f in shuffled.feeders for ng in map(shuffled.ngrid, f.ngrid_ids)))
-        sor = SorTable({(f.id, h): round(rng.random(), 6) for f in fleet.feeders for h in range(H)})
-        derate = {(f.id, h): round(rng.uniform(0.5, 1.0), 6)
+            for f in shuffled.feeders for ng in shuffled.ngrids if ng.feeder_id == f))
+        sor = SorTable({(f, h): round(rng.random(), 6) for f in fleet.feeders for h in range(H)})
+        derate = {(f, h): round(rng.uniform(0.5, 1.0), 6)
                   for f in fleet.feeders for h in rng.sample(range(H), 3)}
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.5, replications=7,
                             master_seed=99, sr_delivery_hours=0.5, derate=derate,
@@ -112,6 +113,19 @@ class TestConfigLoading:
         assert again.sor == sor
         assert (want.bess_eta_c[want.has_bess] < 1.0).all() and (want.ev_eta_d < 1.0).any()
         assert (want.hvac_normal != want.hvac_normal[0]).any()
+
+    def test_case_study_bundle_bytes(self, tmp_path):
+        """The demo bundle, which the benchmark writes for every input,
+        keeps its bytes: the SHA-256 of each file."""
+        casestudy.write_bundle(casestudy.build_case_study(100), tmp_path)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == {
+            "fleet.yaml": "ab090a895d4314bf555bf80562456d0b50430b45098acc95ee215967589e8054",
+            "profiles.csv": "66355a2a446649559375172ec7c006d6420cabf8c3277c6afa5b57821d95266a",
+            "scenario.yaml": "d45a7959d9fdbb1b1a2d9a49af699990d2a0b37109a71bfe4ccf744cac2e2c44",
+            "sor.csv": "ecbfa3141b884c29ac0fddf4673b5380e1f5cd8adabd0c30009f865d0b6d669d",
+        }
 
     def test_missing_profile_hour_named(self, tmp_path):
         path = write_tiny_bundle(tmp_path / "tiny")
@@ -263,6 +277,65 @@ class TestLoaderErrors:
         assert code == 1
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert f"derate row outside scenario: feeder {feeder!r} hour {hour}" in err
+
+    def test_duplicate_feeder_id(self, tmp_path, capsys):
+        """Two ``- id: F1`` blocks: the fleet is rejected instead of the
+        first block's n-Grid dropping out of the results."""
+        root = tmp_path / "dup"
+        scenario = write_tiny_bundle(root)
+        (root / "profiles.csv").write_text("ngrid_id,hour,load_kw,pv_kw\n" + "".join(
+            f"N{n},{h},{n}.0,0.0\n" for n in (1, 2) for h in range(H)))
+        (root / "sor.csv").write_text(
+            "feeder_id,hour,probability\n" + "".join(f"F1,{h},0.0\n" for h in range(H)))
+        (root / "fleet.yaml").write_text(
+            "feeders:\n- id: F1\n  ngrids:\n  - id: N1\n- id: F1\n  ngrids:\n  - id: N2\n")
+        loaded = load_scenario(scenario)
+        assert [ng.id for ng in loaded.fleet.ngrids] == ["N1", "N2"]
+        assert validate_scenario(loaded) == ["duplicate feeder id 'F1'"]
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == "validation error: duplicate feeder id 'F1'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("plug_hours: '0-6,19-23'", "plug_hours: '9-3'",
+         "n-Grid 'N1': plug hour range '9-3' is reversed"),
+        ("p_normal: 1.0", "p_normal: [1.0, 1.0]",
+         "n-Grid 'N1': hvac p_normal: profile length 2 != horizon 24"),
+        ("p_normal: 1.0", "p_normal: abc",
+         "n-Grid 'N1': hvac p_normal: expected a number or a list of 24 numbers"),
+    ], ids=["reversed-plug-hours", "hvac-length", "hvac-text"])
+    def test_fleet_field_named_with_file(self, tmp_path, capsys, old, new, named):
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.yaml"
+        fleet.write_text(fleet.read_text().replace(old, new))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: {fleet}: {named}\n"
+
+    @pytest.mark.parametrize("setting, argv, seed", [("seed: -1", [], -1),
+                                                     ("seed: 7", ["--seed", "-3"], -3)],
+                             ids=["file", "flag"])
+    def test_negative_seed(self, tmp_path, capsys, setting, argv, seed):
+        """A negative seed is reported by field before any dispatch, not by
+        numpy's first outage draw."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace("seed: 7", setting))
+        problem = f"master_seed must be >= 0, got {seed}"
+        assert validate_scenario(replace(load_scenario(scenario), master_seed=seed)) == [problem]
+        code = main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "out"), *argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"validation error: {problem}\n"
+
+    def test_zero_horizon(self, tmp_path, capsys):
+        """``horizon: 0`` is named in the scenario file, not blamed on the
+        profiles' hours."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text() + "horizon: 0\n")
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: {scenario}: field 'horizon': must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("name, argv", [
         ("profiles.csv", SIMULATE),

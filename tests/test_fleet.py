@@ -1,9 +1,6 @@
-import pytest
-
 from ngridsim.dispatch import FleetArrays
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Feeder, Fleet,
-                            HourlyProfile, HvacAsset, NGrid, StorageUnit,
-                            validate_fleet)
+from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
+                            HvacAsset, NGrid, StorageUnit, validate_fleet)
 
 H = 24
 
@@ -17,20 +14,7 @@ def make_ngrid(nid="N1", feeder="F1", base=1.0, pv=0.0, **kwargs):
 def two_feeder_fleet():
     a = make_ngrid("N1", "F1")
     b = make_ngrid("N2", "F2", bess=StorageUnit(10.0, 5.0, 5.0))
-    return Fleet(feeders=(Feeder("F1", ("N1",)), Feeder("F2", ("N2",))), ngrids=(a, b))
-
-
-class TestFleetLookups:
-    def test_indexed_lookups_keep_scan_semantics(self):
-        a = make_ngrid("N1", "F1")
-        b = make_ngrid("N2", "F2")
-        c = make_ngrid("N3", "F1")
-        dup = make_ngrid("N1", "F2", base=9.0)
-        fleet = Fleet(feeders=(Feeder("F1", ("N3", "N1")), Feeder("F2", ("N2",))),
-                      ngrids=(a, b, c, dup))
-        assert fleet.ngrid("N1") is a  # first in fleet order wins
-        with pytest.raises(KeyError):
-            fleet.ngrid("N9")
+    return Fleet(feeders=("F1", "F2"), ngrids=(a, b))
 
 
 class TestValidateFleet:
@@ -39,7 +23,7 @@ class TestValidateFleet:
 
     def test_unknown_feeder_named(self):
         ng = make_ngrid("N1", "F9")
-        fleet = Fleet(feeders=(Feeder("F1", ()),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         report = validate_fleet(fleet, H)
         assert any("F9" in v for v in report)
 
@@ -48,7 +32,7 @@ class TestValidateFleet:
         p_min = [0.5] * H
         p_min[3], p_norm[3] = 2.0, 1.0
         ng = make_ngrid("N1", "F1", hvac=HvacAsset(HourlyProfile(p_norm), HourlyProfile(p_min)))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         report = validate_fleet(fleet, H)
         assert len(report) == 1
         assert "HVAC" in report[0] and "hour 3" in report[0]
@@ -56,20 +40,25 @@ class TestValidateFleet:
     def test_profile_length_mismatch(self):
         ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, 12),
                    pv=HourlyProfile.zeros(H))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         assert any("length" in v for v in validate_fleet(fleet, H))
 
-    def test_uncovered_and_duplicate_ngrids(self):
-        a = make_ngrid("N1", "F1")
-        fleet = Fleet(feeders=(Feeder("F1", ()),), ngrids=(a,))
-        assert any("not covered" in v for v in validate_fleet(fleet, H))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1", "N1")),), ngrids=(a,))
-        assert any("duplicate" in v for v in validate_fleet(fleet, H))
+    def test_duplicate_ngrid_id_named(self):
+        fleet = Fleet(feeders=("F1", "F2"),
+                      ngrids=(make_ngrid("N1", "F1"), make_ngrid("N1", "F2", base=2.0)))
+        assert validate_fleet(fleet, H) == ["duplicate n-Grid id 'N1'"]
+
+    def test_duplicate_feeder_id_named(self):
+        """Two feeders under one id would share one SoR row and one
+        feeder's n-Grids, so the fleet is rejected."""
+        fleet = Fleet(feeders=("F1", "F2", "F1"),
+                      ngrids=(make_ngrid("N1", "F1"), make_ngrid("N2", "F1", base=2.0)))
+        assert validate_fleet(fleet, H) == ["duplicate feeder id 'F1'"]
 
     def test_bad_storage_and_window(self):
         ng = make_ngrid("N1", "F1", bess=StorageUnit(10.0, 5.0, 12.0),
                         deferrables=(DeferrableTask(2.0, 1.0, 10, 30),))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         report = validate_fleet(fleet, H)
         assert any("soc_kwh" in v for v in report)
         assert any("window" in v for v in report)

@@ -12,7 +12,7 @@ from ngridsim import harness
 from ngridsim.casestudy import build_case_study, write_bundle
 from ngridsim.cli import main
 from ngridsim.config import load_scenario
-from ngridsim.fleet import (Feeder, Fleet, HourlyProfile, NGrid, StorageUnit,
+from ngridsim.fleet import (Fleet, HourlyProfile, NGrid, StorageUnit,
                             validate_fleet)
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
@@ -40,7 +40,7 @@ def single_ngrid_scenario(load=2.0, pv=0.0, bess=None, sor=None, **kw):
     ng = NGrid(id="N1", feeder_id="F1",
                base_load=HourlyProfile.constant(load, H),
                pv=HourlyProfile.constant(pv, H), bess=bess)
-    fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+    fleet = Fleet(feeders=("F1",), ngrids=(ng,))
     if sor is None:
         sor = flat_sor(["F1"])
     return Scenario(fleet=fleet, sor=sor, horizon=H, **kw)
@@ -163,7 +163,7 @@ class TestRunReplication:
                   base_load=HourlyProfile.constant(1.0 + i, H),
                   pv=HourlyProfile.zeros(H))
             for i in range(3))
-        fleet = Fleet(feeders=(Feeder("F1", tuple(n.id for n in ngrids)),), ngrids=ngrids)
+        fleet = Fleet(feeders=("F1",), ngrids=ngrids)
         sor = flat_sor(["F1"], overrides={("F1", 3): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
         series, _ = run_replication(scenario, 0)
@@ -178,8 +178,7 @@ class TestRunReplication:
                     pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
         ng2 = NGrid(id="N2", feeder_id="F2", base_load=HourlyProfile.constant(1.0, H),
                     pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)), Feeder("F2", ("N2",))),
-                      ngrids=(ng1, ng2))
+        fleet = Fleet(feeders=("F1", "F2"), ngrids=(ng1, ng2))
         sor = flat_sor(["F1", "F2"], overrides={("F1", 5): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=1.0)
         series, _ = run_replication(scenario, 0)
@@ -195,7 +194,7 @@ class TestRunReplication:
         others, and its outages change no series."""
         ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
                    pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(5.0, 1.0, 5.0))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)), Feeder("F2", ())), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1", "F2"), ngrids=(ng,))
         assert validate_fleet(fleet, H) == []
         for f1_fails in (False, True):
             overrides = {("F2", 3): 1.0, ("F1", 5): float(f1_fails)}
@@ -222,7 +221,7 @@ class TestShadowTables:
         rng = random.Random(f"targets-{seed}")
         fleet = random_fleet(rng, n_feeders=4, ngrids_per_feeder=2)
         levels = [0.0, -0.0, 0.25, 0.25, 0.5, 1.0]
-        entries = {(f.id, h): rng.choice(levels + [rng.random()])
+        entries = {(f, h): rng.choice(levels + [rng.random()])
                    for f in fleet.feeders for h in range(H)}
         entries.update({("F0", h): -0.0 for h in range(H)})  # never above the 0.0 start
         entries.update({("F1", h): [0.7, 0.7, -0.0, 0.9][h - H + 4] for h in range(H - 4, H)})
@@ -241,7 +240,7 @@ class TestShadowTables:
     def test_derate_reaches_ramp_totals(self):
         """Two feeders derated at different hours: each feeder's ramp-up and
         ramp-down totals, and the fleet's, equal the scalar ramp capacity of
-        a grid-tied day summed in listing order, by bytes."""
+        a grid-tied day summed in fleet order, by bytes."""
         fleet = random_fleet(random.Random("derate"), n_feeders=2, ngrids_per_feeder=3)
         derate = {("F0", 8): 0.5, ("F0", 21): 0.75, ("F1", 2): 0.6, ("F1", 19): 0.25}
         scenario = Scenario(fleet=fleet, sor=flat_sor(["F0", "F1"], p=0.1), horizon=H,
@@ -252,18 +251,17 @@ class TestShadowTables:
         fleet_ru, fleet_rd = np.zeros(H), np.zeros(H)
         for feeder in fleet.feeders:
             ru, rd = np.zeros(H), np.zeros(H)
-            for nid in feeder.ngrid_ids:
-                ngrid = fleet.ngrid(nid)
+            for ngrid in (ng for ng in fleet.ngrids if ng.feeder_id == feeder):
                 state = initial_state(ngrid)
                 for h in range(H):
                     out, state = connected_step(ngrid, state, h, policy)
-                    cap = ramp_capacity(ngrid, state, out, 1.5, derate.get((feeder.id, h), 1.0))
+                    cap = ramp_capacity(ngrid, state, out, 1.5, derate.get((feeder, h), 1.0))
                     ru[h] += cap.ru_kw
                     rd[h] += cap.rd_kw
-            totals = shadow.totals[feeder.id]
+            totals = shadow.totals[feeder]
             assert totals[2].tobytes() == ru.tobytes() and totals[3].tobytes() == rd.tobytes()
-            derated = [h for f, h in derate if f == feeder.id]
-            changed = np.flatnonzero((totals[2:] != plain.totals[feeder.id][2:]).any(axis=0))
+            derated = [h for f, h in derate if f == feeder]
+            changed = np.flatnonzero((totals[2:] != plain.totals[feeder][2:]).any(axis=0))
             assert set(changed) == set(derated)
             fleet_ru, fleet_rd = fleet_ru + ru, fleet_rd + rd
         for row, want in ((4, fleet_ru), (5, fleet_ru), (6, fleet_rd), (7, fleet_rd)):
@@ -308,7 +306,7 @@ class TestIncrementalReplication:
     def random_scenario(seed, precharge):
         rng = random.Random(seed)
         fleet = random_fleet(rng, n_feeders=3, ngrids_per_feeder=3)
-        entries = {(f.id, h): rng.uniform(0.0, 0.4) for f in fleet.feeders for h in range(H)}
+        entries = {(f, h): rng.uniform(0.0, 0.4) for f in fleet.feeders for h in range(H)}
         # F0 is certain to fail late in the day, so its last outage is cut
         # off at hour 23.
         entries.update({("F0", h): 1.0 for h in (21, 22, 23)})
@@ -342,13 +340,14 @@ class TestIncrementalReplication:
                 hours = ngrid_hours(step_log)
                 first = {ev.feeder_id: ev.start_hour for ev in reversed(events)}
                 for feeder in scenario.fleet.feeders:
-                    stepped = [hours.pop(nid, []) for nid in feeder.ngrid_ids]
-                    if feeder.id not in first:
-                        assert stepped == [[]] * len(stepped), (seed, rep, feeder.id)
+                    stepped = [hours.pop(ng.id, []) for ng in scenario.fleet.ngrids
+                               if ng.feeder_id == feeder]
+                    if feeder not in first:
+                        assert stepped == [[]] * len(stepped), (seed, rep, feeder)
                         continue
                     final = max(stepped[0])
-                    assert stepped == [list(range(first[feeder.id], final + 1))] * len(stepped)
-                    if last[feeder.id] < H - 2:
+                    assert stepped == [list(range(first[feeder], final + 1))] * len(stepped)
+                    if last[feeder] < H - 2:
                         seen["reconverged"] |= final < H - 1
                         seen["never reconverged"] |= final == H - 1
                 assert hours == {}
@@ -367,8 +366,7 @@ class TestIncrementalReplication:
                    pv=HourlyProfile.zeros(H))
         n3 = NGrid(id="N3", feeder_id="F2", base_load=HourlyProfile.constant(1.0, H),
                    pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1", "N2")), Feeder("F2", ("N3",))),
-                      ngrids=(n1, n2, n3))
+        fleet = Fleet(feeders=("F1", "F2"), ngrids=(n1, n2, n3))
         sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
         step_log.clear()
@@ -479,7 +477,7 @@ class TestChunks:
         some replications have none; F0 fails at hour 23 half the time."""
         rng = random.Random(seed)
         fleet = random_fleet(rng, n_feeders=n_feeders, ngrids_per_feeder=per_feeder)
-        entries = {(f.id, h): rng.uniform(0.0, 2.0 * starts / (n_feeders * H))
+        entries = {(f, h): rng.uniform(0.0, 2.0 * starts / (n_feeders * H))
                    for f in fleet.feeders for h in range(H)}
         entries[("F0", H - 1)] = 0.5
         return Scenario(fleet=fleet, sor=SorTable(entries), horizon=H,
@@ -607,9 +605,9 @@ class TestRunSimulation:
 
     def test_same_report_after_bundle_round_trip(self, tmp_path):
         """A fleet file lists n-Grids only under their feeders, so a fleet
-        whose n-Grid order differs from its listings reloads in listing
-        order; each feeder's n-Grids are summed in listing order, so the
-        report does not change by a bit. Values have at most 6 decimals,
+        whose feeders' n-Grids interleave reloads grouped by feeder. Each
+        feeder keeps its n-Grids' fleet order, in which they are summed, so
+        the report does not change by a bit. Values have at most 6 decimals,
         which the CSVs hold exactly."""
         for seed in range(5):
             rng = random.Random(seed)
@@ -618,7 +616,7 @@ class TestRunSimulation:
                 replace(ng, base_load=HourlyProfile(round(v, 6) for v in ng.base_load.values),
                         pv=HourlyProfile(round(v, 6) for v in ng.pv.values))
                 for ng in shuffled.ngrids))
-            scenario = Scenario(fleet=fleet, sor=flat_sor([f.id for f in fleet.feeders], 0.3),
+            scenario = Scenario(fleet=fleet, sor=flat_sor(fleet.feeders, 0.3),
                                 horizon=H, repair_hours=2.0, replications=30, master_seed=seed)
             again = load_scenario(write_bundle(scenario, tmp_path / str(seed)))
             assert [ng.id for ng in again.fleet.ngrids] != [ng.id for ng in fleet.ngrids]
@@ -733,7 +731,7 @@ class TestValidateScenario:
     def test_sor_completeness_checked(self):
         ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
                    pv=HourlyProfile.zeros(H))
-        fleet = Fleet(feeders=(Feeder("F1", ("N1",)),), ngrids=(ng,))
+        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         sor = SorTable({("F1", h): 0.0 for h in range(H - 1)})  # hour 23 missing
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H)
         problems = validate_scenario(scenario)
