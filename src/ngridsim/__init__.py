@@ -1,8 +1,8 @@
 """Nano-grid fleet simulator: outage risk scoring, Monte Carlo feeder
 outages, islanded dispatch, and reserve/ramp capacity accounting."""
 
-from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
-                    HvacAsset, NGrid, StorageUnit, validate_fleet)
+from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid,
+                    StorageUnit, validate_fleet)
 from .harness import (FleetSeries, OutageEvent, Scenario, SimulationReport,
                       ValidationError, emit_report, run_replication,
                       run_simulation, sample_outages, sweep_reports,

@@ -18,8 +18,7 @@ import numpy as np
 import yaml
 
 from .config import DERATE_COLUMNS, PROFILE_COLUMNS
-from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
-                    HvacAsset, NGrid, StorageUnit)
+from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
 from .harness import Scenario
 from .sor import SorTable, save_sor_table
 from .tables import write_table
@@ -65,8 +64,8 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
             nid = f"N{site + 1:03d}"
             load_scale = 0.8 + 0.4 * rng.random()
             pv_scale = 0.8 + 0.4 * rng.random()
-            base = HourlyProfile([v * load_scale for v in _BASE_SHAPE])
-            pv = HourlyProfile([v * pv_scale for v in _PV_SHAPE])
+            base = tuple(v * load_scale for v in _BASE_SHAPE)
+            pv = tuple(v * pv_scale for v in _PV_SHAPE)
 
             bess = None
             if site % 2 == 0:  # half the sites have a stationary battery
@@ -80,12 +79,11 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
                 depart = 7 + int(rng.integers(-1, 2))    # 6..8, exclusive
                 plug = set(range(0, depart)) | set(range(arrive, horizon))
                 evs.append(ElectricVehicle(
-                    battery=StorageUnit(capacity_kwh=60.0, p_max_kw=7.0, soc_kwh=30.0),
-                    plug_hours=frozenset(plug),
-                    soc_on_arrival_kwh=24.0 + 12.0 * rng.random()))
+                    battery=StorageUnit(capacity_kwh=60.0, p_max_kw=7.0,
+                                        soc_kwh=24.0 + 12.0 * rng.random()),
+                    plug_hours=frozenset(plug)))
 
-            hvac = HvacAsset(p_normal_kw=HourlyProfile.constant(1.0, horizon),
-                             p_min_kw=HourlyProfile.constant(0.3, horizon))
+            hvac = HvacAsset(p_normal_kw=(1.0,) * horizon, p_min_kw=(0.3,) * horizon)
             tasks = ()
             if site % 5 in (0, 1):  # 40% of sites run one deferrable task
                 tasks = (DeferrableTask(energy_kwh=2.0, power_kw=1.0,
@@ -129,9 +127,9 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
         return {name: getattr(unit, name) for name in ("eta_charge", "eta_discharge")
                 if getattr(unit, name) != 1.0}
 
-    def hourly(profile: HourlyProfile):
+    def hourly(profile: tuple[float, ...]):
         """A constant profile as its one value, any other as its list."""
-        return profile[0] if len(set(profile.values)) == 1 else list(profile.values)
+        return profile[0] if len(set(profile)) == 1 else list(profile)
 
     # Each feeder lists the n-Grids that name it, in fleet order.
     members = {feeder_id: [] for feeder_id in scenario.fleet.feeders}
@@ -149,7 +147,7 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
             if ng.evs:
                 ndoc["evs"] = [{"capacity_kwh": ev.battery.capacity_kwh,
                                 "p_max_kw": ev.battery.p_max_kw,
-                                "soc_arrival_kwh": ev.soc_on_arrival_kwh,
+                                "soc_arrival_kwh": ev.battery.soc_kwh,
                                 "plug_hours": plug_ranges(ev.plug_hours),
                                 **efficiencies(ev.battery)}
                                for ev in ng.evs]

@@ -3,9 +3,12 @@
 Scenario files are YAML with scalar settings plus paths (relative to the
 scenario file) for the fleet config, the profiles CSV, the SoR CSV, and an
 optional derate CSV. Fleet configs are YAML: feeders with per-n-Grid blocks
-declaring BESS, EVs (plug hours as ranges like ``0-6,19-23``), HVAC
-(constant or per-hour list), and deferrable tasks. Profiles come from a
-``ngrid_id,hour,load_kw,pv_kw`` CSV with one row per n-Grid hour.
+declaring BESS, EVs (plug hours as ranges like ``0-6,19-23``, and the SoC
+at each plug-in as ``soc_arrival_kwh``), HVAC (constant or per-hour list),
+and deferrable tasks. Profiles come from a ``ngrid_id,hour,load_kw,pv_kw``
+CSV with one row per n-Grid hour; every profile is a tuple of floats. A key
+may appear once per YAML mapping: a repeated one is reported with its line.
+The loaders check form; :func:`ngridsim.fleet.validate_fleet` checks values.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import fields
 
 import yaml
 
-from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
-                    HvacAsset, NGrid, StorageUnit)
+from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
 from .harness import Scenario
 from .sor import load_sor_table
 from .tables import ValidationError, read_table
@@ -46,17 +48,17 @@ def parse_plug_hours(spec) -> set[int]:
     return hours
 
 
-def _profile(value, horizon: int, field: str) -> HourlyProfile:
+def _profile(value, horizon: int, field: str) -> tuple[float, ...]:
     if isinstance(value, (int, float)):
-        return HourlyProfile.constant(float(value), horizon)
+        return (float(value),) * horizon
     if isinstance(value, (list, tuple)):
         if len(value) != horizon:
             raise ValueError(f"{field}: profile length {len(value)} != horizon {horizon}")
-        return HourlyProfile(value)
+        return tuple(float(v) for v in value)
     raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
 
 
-def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyProfile]]:
+def load_profiles(path, horizon: int) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
     """Per-n-Grid (load, pv) profiles from CSV; every hour must be present."""
     hours_of: dict[str, list] = {}  # n-Grid id -> (load_kw, pv_kw) per hour
     for rec in read_table(path, PROFILE_COLUMNS,
@@ -73,8 +75,7 @@ def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyPr
     for nid, hours in hours_of.items():
         if None in hours:
             raise ValidationError(f"{path}: n-Grid {nid!r} missing hour {hours.index(None)}")
-        profiles[nid] = (HourlyProfile(load for load, _ in hours),
-                         HourlyProfile(pv for _, pv in hours))
+        profiles[nid] = (tuple(load for load, _ in hours), tuple(pv for _, pv in hours))
     return profiles
 
 
@@ -83,10 +84,28 @@ def load_profiles(path, horizon: int) -> dict[str, tuple[HourlyProfile, HourlyPr
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _UniqueKeyLoader(_YAML_LOADER):
+    """The safe loader, refusing a key that repeats within one mapping
+    instead of keeping its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode):
+                key = (key_node.tag, key_node.value)
+                if key in seen:
+                    raise ValidationError(f"repeated key {key_node.value!r} "
+                                          f"at line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def _load_yaml(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            return yaml.load(fh, Loader=_UniqueKeyLoader)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
         except yaml.YAMLError as exc:
             raise ValidationError(f"{path}: malformed YAML: {exc}") from None
         except UnicodeDecodeError as exc:
@@ -111,8 +130,7 @@ def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGri
                               eta_charge=float(edoc.get("eta_charge", 1.0)),
                               eta_discharge=float(edoc.get("eta_discharge", 1.0)))
         evs.append(ElectricVehicle(battery=battery,
-                                   plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"])),
-                                   soc_on_arrival_kwh=float(edoc["soc_arrival_kwh"])))
+                                   plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"]))))
     hvac = None
     if "hvac" in ndoc and ndoc["hvac"] is not None:
         hdoc = ndoc["hvac"]
@@ -156,7 +174,7 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
     except KeyError as exc:
         raise ValidationError(
             f"{fleet_path}: {where}: missing required field {exc.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{fleet_path}: {where}: {exc}") from None
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 

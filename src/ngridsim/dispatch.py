@@ -84,16 +84,15 @@ class FleetArrays:
         no_hvac = (0.0,) * horizon
         ev = {name: np.full((n, n_ev), pad) for name, pad in
               (("capacity_kwh", 0.0), ("p_max_kw", 0.0), ("eta_charge", 1.0),
-               ("eta_discharge", 1.0), ("soc", 0.0))}
+               ("eta_discharge", 1.0), ("soc_kwh", 0.0))}
         plugged = np.zeros((horizon, n, n_ev), dtype=bool)
         task_energy, task_power = np.zeros((n, n_task)), np.zeros((n, n_task))
         in_window = np.zeros((horizon, n, n_task), dtype=bool)
         due = np.zeros((horizon, n, n_task), dtype=bool)
         for r, ng in enumerate(ngrids):
             for e, vehicle in enumerate(ng.evs):
-                for name in ("capacity_kwh", "p_max_kw", "eta_charge", "eta_discharge"):
-                    ev[name][r, e] = getattr(vehicle.battery, name)
-                ev["soc"][r, e] = vehicle.soc_on_arrival_kwh
+                for name, column in ev.items():
+                    column[r, e] = getattr(vehicle.battery, name)
                 plugged[[h for h in vehicle.plug_hours if 0 <= h < horizon], r, e] = True
             for t, task in enumerate(ng.deferrables):
                 task_energy[r, t], task_power[r, t] = task.energy_kwh, task.power_kw
@@ -103,18 +102,18 @@ class FleetArrays:
         arrives[1:] &= ~plugged[:-1]
         return cls(
             ids=tuple(ng.id for ng in ngrids),
-            base_load=hourly([ng.base_load.values for ng in ngrids]),
-            pv=hourly([ng.pv.values for ng in ngrids]),
-            hvac_min=hourly([ng.hvac.p_min_kw.values if ng.hvac is not None else no_hvac
+            base_load=hourly([ng.base_load for ng in ngrids]),
+            pv=hourly([ng.pv for ng in ngrids]),
+            hvac_min=hourly([ng.hvac.p_min_kw if ng.hvac is not None else no_hvac
                              for ng in ngrids]),
-            hvac_normal=hourly([ng.hvac.p_normal_kw.values if ng.hvac is not None else no_hvac
+            hvac_normal=hourly([ng.hvac.p_normal_kw if ng.hvac is not None else no_hvac
                                 for ng in ngrids]),
             has_bess=np.array([ng.bess is not None for ng in ngrids], dtype=bool),
             bess_capacity=bess("capacity_kwh", 0.0), bess_p_max=bess("p_max_kw", 0.0),
             bess_eta_c=bess("eta_charge", 1.0), bess_eta_d=bess("eta_discharge", 1.0),
             bess_soc=bess("soc_kwh", 0.0),
             ev_capacity=ev["capacity_kwh"], ev_p_max=ev["p_max_kw"],
-            ev_eta_c=ev["eta_charge"], ev_eta_d=ev["eta_discharge"], ev_arrival_soc=ev["soc"],
+            ev_eta_c=ev["eta_charge"], ev_eta_d=ev["eta_discharge"], ev_arrival_soc=ev["soc_kwh"],
             plugged=plugged, arrives=arrives, task_energy=task_energy, task_power=task_power,
             in_window=in_window, due=due)
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
-                            HvacAsset, NGrid, StorageUnit)
+from ngridsim.fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
 from oracles import power_balance_residual
 from scalar_dispatch import NGridState, arrives, plugged
 
@@ -21,8 +20,8 @@ TOL = 1e-9
 def random_islanded_case(rng: random.Random):
     """One random n-Grid, state, and hour for an islanded step."""
     hour = rng.randrange(H)
-    base = HourlyProfile([rng.uniform(0.0, 6.0) for _ in range(H)])
-    pv = HourlyProfile([rng.uniform(0.0, 8.0) for _ in range(H)])
+    base = [rng.uniform(0.0, 6.0) for _ in range(H)]
+    pv = [rng.uniform(0.0, 8.0) for _ in range(H)]
 
     bess = None
     if rng.random() < 0.7:
@@ -35,15 +34,14 @@ def random_islanded_case(rng: random.Random):
         cap = rng.uniform(5.0, 60.0)
         plugged = rng.random() < 0.6
         plug = set(range(H)) if plugged else set(range(H)) - {hour}
-        evs.append(ElectricVehicle(
-            battery=StorageUnit(cap, rng.uniform(1.0, 8.0), rng.uniform(0.0, cap)),
-            plug_hours=frozenset(plug),
-            soc_on_arrival_kwh=rng.uniform(0.0, cap)))
+        p_max = rng.uniform(1.0, 8.0)
+        rng.uniform(0.0, cap)  # unused: it fixes the stream position of every later draw
+        evs.append(ElectricVehicle(battery=StorageUnit(cap, p_max, rng.uniform(0.0, cap)),
+                                   plug_hours=frozenset(plug)))
     hvac = None
     if rng.random() < 0.6:
         norm = rng.uniform(0.5, 3.0)
-        hvac = HvacAsset(HourlyProfile.constant(norm, H),
-                         HourlyProfile.constant(rng.uniform(0.0, norm), H))
+        hvac = HvacAsset((norm,) * H, (rng.uniform(0.0, norm),) * H)
     tasks = []
     for _ in range(rng.randrange(0, 3)):
         earliest = rng.randrange(0, H)
@@ -88,17 +86,16 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
             for _ in range(rng.randrange(0, max_evs + 1)):
                 cap = rng.uniform(5.0, 60.0)
                 leave, back = rng.randrange(0, 12), rng.randrange(12, H)
+                p_max, eta_c, eta_d = (rng.uniform(1.0, 8.0), rng.uniform(0.85, 1.0),
+                                       rng.uniform(0.85, 1.0))
                 evs.append(ElectricVehicle(
-                    battery=StorageUnit(cap, rng.uniform(1.0, 8.0), cap,
-                                        eta_charge=rng.uniform(0.85, 1.0),
-                                        eta_discharge=rng.uniform(0.85, 1.0)),
-                    plug_hours=frozenset(range(leave)) | frozenset(range(back, H)),
-                    soc_on_arrival_kwh=rng.uniform(0.0, cap)))
+                    battery=StorageUnit(cap, p_max, rng.uniform(0.0, cap),
+                                        eta_charge=eta_c, eta_discharge=eta_d),
+                    plug_hours=frozenset(range(leave)) | frozenset(range(back, H))))
             hvac = None
             if rng.random() < 0.6:
                 norm = [rng.uniform(0.5, 3.0) for _ in range(H)]
-                hvac = HvacAsset(HourlyProfile(norm),
-                                 HourlyProfile([rng.uniform(0.0, x) for x in norm]))
+                hvac = HvacAsset(norm, [rng.uniform(0.0, x) for x in norm])
             tasks = []
             for _ in range(rng.randrange(0, 3)):
                 earliest = rng.randrange(0, H)
@@ -106,8 +103,8 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
                                             earliest, rng.randrange(earliest, H)))
             ngrids.append(NGrid(
                 id=f"N{f}-{n}", feeder_id=f"F{f}",
-                base_load=HourlyProfile([rng.uniform(0.0, 5.0) for _ in range(H)]),
-                pv=HourlyProfile(pv), bess=bess, evs=tuple(evs), hvac=hvac,
+                base_load=[rng.uniform(0.0, 5.0) for _ in range(H)],
+                pv=pv, bess=bess, evs=tuple(evs), hvac=hvac,
                 deferrables=tuple(tasks)))
     rng.shuffle(ngrids)
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
@@ -118,7 +115,7 @@ def snapshot_pre_dispatch(ngrid: NGrid, state: NGridState, hour: int):
     ev_soc = list(state.ev_soc_kwh)
     for i, ev in enumerate(ngrid.evs):
         if arrives(ev, hour):
-            ev_soc[i] = ev.soc_on_arrival_kwh
+            ev_soc[i] = ev.battery.soc_kwh
     return state.bess_soc_kwh, ev_soc
 
 

@@ -44,7 +44,7 @@ class NGridState:
 def initial_state(ngrid: NGrid) -> NGridState:
     return NGridState(
         bess_soc_kwh=ngrid.bess.soc_kwh if ngrid.bess is not None else 0.0,
-        ev_soc_kwh=[ev.soc_on_arrival_kwh for ev in ngrid.evs],
+        ev_soc_kwh=[ev.battery.soc_kwh for ev in ngrid.evs],
         deferred_energy_kwh=[t.energy_kwh for t in ngrid.deferrables],
     )
 
@@ -123,7 +123,7 @@ def _apply_ev_arrivals(ngrid: NGrid, state: NGridState, hour: int) -> None:
     # SoC resets at the first hour of each contiguous plug interval.
     for i, ev in enumerate(ngrid.evs):
         if arrives(ev, hour):
-            state.ev_soc_kwh[i] = ev.soc_on_arrival_kwh
+            state.ev_soc_kwh[i] = ev.battery.soc_kwh
 
 
 def _discharge_caps(ngrid: NGrid, state: NGridState, hour: int) -> list[float]:

@@ -14,7 +14,7 @@ import pytest
 
 from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
-from ngridsim.fleet import Fleet, HourlyProfile, NGrid, StorageUnit
+from ngridsim.fleet import Fleet, NGrid, StorageUnit
 from ngridsim.harness import (Scenario, feeder_rng, run_replication,
                               run_simulation, sample_outages, sweep_reports)
 from ngridsim.metrics import LabeledScore, final_metric, prc_auc, roc_auc
@@ -81,13 +81,13 @@ def test_criterion_03_islanded_dispatch_invariants():
 def test_criterion_04_sufficiency_gives_exact_zero_ens():
     # Stored energy alone covers the whole islanded day within power limits.
     cases = []
-    ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
-               pv=HourlyProfile.zeros(H), bess=StorageUnit(60.0, 5.0, 60.0))
+    ng = NGrid(id="N1", feeder_id="F1", base_load=(2.0,) * H, pv=(0.0,) * H,
+               bess=StorageUnit(60.0, 5.0, 60.0))
     cases.append(ng)
     # PV covers midday, the battery the rest.
     pv = [6.0 if 8 <= h <= 17 else 0.0 for h in range(H)]
-    ng2 = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.5, H),
-                pv=HourlyProfile(pv), bess=StorageUnit(30.0, 4.0, 30.0))
+    ng2 = NGrid(id="N1", feeder_id="F1", base_load=(1.5,) * H, pv=pv,
+                bess=StorageUnit(30.0, 4.0, 30.0))
     cases.append(ng2)
     for ng in cases:
         fleet = Fleet(feeders=("F1",), ngrids=(ng,))
@@ -111,8 +111,7 @@ def test_criterion_05_repair_time_sweep_monotone_and_plausible():
     # Storage-free control: constant load, no PV or flexibility, one certain
     # outage at hour 0 -> ENS grows exactly one hour of load per repair hour.
     ngrids = tuple(
-        NGrid(id=f"N{i}", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
-              pv=HourlyProfile.zeros(H))
+        NGrid(id=f"N{i}", feeder_id="F1", base_load=(2.0,) * H, pv=(0.0,) * H)
         for i in range(20))
     fleet = Fleet(feeders=("F1",), ngrids=ngrids)
     sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})

@@ -12,7 +12,7 @@ from ngridsim import casestudy, harness
 from ngridsim.cli import main
 from ngridsim.config import load_scenario, parse_plug_hours
 from ngridsim.dispatch import FleetArrays
-from ngridsim.fleet import Fleet, HourlyProfile
+from ngridsim.fleet import Fleet
 from ngridsim.harness import Scenario, ValidationError, validate_scenario
 from ngridsim.sor import SorTable
 
@@ -50,6 +50,12 @@ def write_tiny_bundle(root):
     return root / "scenario.yaml"
 
 
+def rounded(profile):
+    """``profile`` to 6 decimals, which the CSVs' 10 significant digits
+    hold exactly."""
+    return tuple(round(v, 6) for v in profile)
+
+
 class TestConfigLoading:
     def test_plug_hours_parsing(self):
         assert parse_plug_hours("0-6,19-23") == set(range(7)) | set(range(19, 24))
@@ -82,14 +88,9 @@ class TestConfigLoading:
     def test_bundle_round_trip(self, tmp_path):
         """``casestudy.write_bundle`` writes what ``load_scenario`` reads:
         efficiencies below 1, per-hour HVAC, derate and every setting.
-        Values have at most 6 decimals, so the CSVs' 10 significant digits
-        hold them exactly."""
+        Values have at most 6 decimals."""
         rng = random.Random("bundle")
         shuffled = random_fleet(rng, n_feeders=3, ngrids_per_feeder=3)
-
-        def rounded(profile):
-            return HourlyProfile(round(v, 6) for v in profile.values)
-
         # Grouped by feeder, the only order a fleet file holds.
         fleet = Fleet(shuffled.feeders, tuple(
             replace(ng, base_load=rounded(ng.base_load), pv=rounded(ng.pv))
@@ -113,6 +114,16 @@ class TestConfigLoading:
         assert again.sor == sor
         assert (want.bess_eta_c[want.has_bess] < 1.0).all() and (want.ev_eta_d < 1.0).any()
         assert (want.hvac_normal != want.hvac_normal[0]).any()
+
+    def test_case_study_fleet_round_trip(self, tmp_path):
+        """The case study's fleet reloads from its bundle as an equal fleet,
+        every EV's starting SoC included."""
+        scenario = casestudy.build_case_study(5)
+        fleet = Fleet(scenario.fleet.feeders, tuple(
+            replace(ng, base_load=rounded(ng.base_load), pv=rounded(ng.pv))
+            for ng in scenario.fleet.ngrids))
+        path = casestudy.write_bundle(replace(scenario, fleet=fleet), tmp_path)
+        assert load_scenario(path).fleet == fleet
 
     def test_case_study_bundle_bytes(self, tmp_path):
         """The demo bundle, which the benchmark writes for every input,
@@ -304,7 +315,8 @@ class TestLoaderErrors:
          "n-Grid 'N1': hvac p_normal: profile length 2 != horizon 24"),
         ("p_normal: 1.0", "p_normal: abc",
          "n-Grid 'N1': hvac p_normal: expected a number or a list of 24 numbers"),
-    ], ids=["reversed-plug-hours", "hvac-length", "hvac-text"])
+        ("earliest: 9", "earliest: .inf", "n-Grid 'N1': cannot convert float infinity to integer"),
+    ], ids=["reversed-plug-hours", "hvac-length", "hvac-text", "infinite-hour"])
     def test_fleet_field_named_with_file(self, tmp_path, capsys, old, new, named):
         scenario = write_tiny_bundle(tmp_path / "tiny")
         fleet = scenario.parent / "fleet.yaml"
@@ -312,6 +324,38 @@ class TestLoaderErrors:
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
         assert err == f"validation error: {fleet}: {named}\n"
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("p_normal: 1.0", "p_normal: .inf", "HVAC p_normal_kw has negative or non-finite values"),
+        ("p_max_kw: 5.0", "p_max_kw: .inf", "BESS: p_max_kw must be finite and > 0"),
+        ("capacity_kwh: 10.0", "capacity_kwh: .inf", "BESS: capacity_kwh must be finite and > 0"),
+        ("power_kw: 1.0", "power_kw: .inf", "task 0: power_kw must be finite and > 0"),
+        ("energy_kwh: 2.0", "energy_kwh: .inf", "task 0: energy_kwh must be finite and > 0"),
+    ], ids=["hvac-p-normal", "bess-p-max", "bess-capacity", "task-power", "task-energy"])
+    def test_non_finite_fleet_number(self, tmp_path, capsys, old, new, named):
+        """An infinite number in the fleet file is named by its field before
+        any dispatch, instead of running to infinite or wrong series."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.yaml"
+        fleet.write_text(fleet.read_text().replace(old, new, 1))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: n-Grid 'N1' {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, old, new, key, line", [
+        ("fleet.yaml", "    evs:\n", "    bess: {capacity_kwh: 20.0, p_max_kw: 5.0}\n    evs:\n",
+         "bess", 6),
+        ("scenario.yaml", "seed: 7\n", "seed: 7\nseed: 8\n", "seed", 7),
+    ], ids=["two-bess", "two-seeds"])
+    def test_repeated_yaml_key(self, tmp_path, capsys, name, old, new, key, line):
+        """A key given twice in one mapping is an error, not its last value."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        path = scenario.parent / name
+        path.write_text(path.read_text().replace(old, new))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: {path}: repeated key {key!r} at line {line}\n"
 
     @pytest.mark.parametrize("setting, argv, seed", [("seed: -1", [], -1),
                                                      ("seed: 7", ["--seed", "-3"], -3)],

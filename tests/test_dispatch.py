@@ -10,8 +10,8 @@ import pytest
 import ngridsim
 from ngridsim import harness
 from ngridsim.dispatch import FleetArrays, FleetState, Flows, ramp, step
-from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HourlyProfile,
-                            HvacAsset, NGrid, StorageUnit, validate_fleet)
+from ngridsim.fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid,
+                            StorageUnit, validate_fleet)
 from ngridsim.sor import SorTable
 from fuzzing import (TOL, check_islanded_invariants, random_fleet,
                      random_islanded_case, snapshot_pre_dispatch)
@@ -24,15 +24,13 @@ H = 24
 
 
 def make_ngrid(base=0.0, pv=0.0, bess=None, evs=(), hvac=None, deferrables=()):
-    return NGrid(id="T1", feeder_id="F1",
-                 base_load=HourlyProfile.constant(base, H),
-                 pv=HourlyProfile.constant(pv, H),
+    return NGrid(id="T1", feeder_id="F1", base_load=(base,) * H, pv=(pv,) * H,
                  bess=bess, evs=tuple(evs), hvac=hvac, deferrables=tuple(deferrables))
 
 
 def always_plugged_ev(capacity, p_max, soc):
     return ElectricVehicle(battery=StorageUnit(capacity, p_max, soc),
-                           plug_hours=frozenset(range(H)), soc_on_arrival_kwh=soc)
+                           plug_hours=frozenset(range(H)))
 
 
 class TestIslandedStep:
@@ -64,7 +62,7 @@ class TestIslandedStep:
         assert out.spilled_kw == 0.0
 
     def test_hvac_curtailed_then_restored(self):
-        hvac = HvacAsset(HourlyProfile.constant(2.0, H), HourlyProfile.constant(0.5, H))
+        hvac = HvacAsset((2.0,) * H, (0.5,) * H)
         # Deficit hour: HVAC held at floor.
         ng = make_ngrid(base=1.0, pv=1.0, hvac=hvac)
         out, _ = islanded_step(ng, initial_state(ng), 0)
@@ -148,7 +146,7 @@ class TestConnectedStep:
 
     def test_power_balance(self):
         ev = always_plugged_ev(capacity=60.0, p_max=7.0, soc=30.0)
-        hvac = HvacAsset(HourlyProfile.constant(1.5, H), HourlyProfile.constant(0.5, H))
+        hvac = HvacAsset((1.5,) * H, (0.5,) * H)
         ng = make_ngrid(base=2.0, pv=1.0, bess=StorageUnit(10.0, 5.0, 3.0),
                         evs=[ev], hvac=hvac)
         out, _ = connected_step(ng, initial_state(ng), 0)
@@ -186,14 +184,14 @@ class TestSrCapacity:
 
     def test_unplugged_ev_offers_nothing(self):
         ev = ElectricVehicle(battery=StorageUnit(60.0, 7.0, 30.0),
-                             plug_hours=frozenset({5}), soc_on_arrival_kwh=30.0)
+                             plug_hours=frozenset({5}))
         ng = make_ngrid(evs=[ev])
         state = NGridState(bess_soc_kwh=0.0, ev_soc_kwh=[30.0], deferred_energy_kwh=[])
         offer = sr_capacity(ng, state, self._outcome(hour=0, ev_each=(0.0,)))
         assert offer.ev_sr_kw == 0.0
 
     def test_hvac_comfort_floor_cap(self):
-        hvac = HvacAsset(HourlyProfile.constant(3.0, H), HourlyProfile.constant(1.0, H))
+        hvac = HvacAsset((3.0,) * H, (1.0,) * H)
         ng = make_ngrid(hvac=hvac)
         state = NGridState(bess_soc_kwh=0.0, ev_soc_kwh=[], deferred_energy_kwh=[])
         offer = sr_capacity(ng, state, self._outcome(hvac_kw=3.0))
@@ -312,7 +310,7 @@ class TestWholeHorizon:
                         if arrives(ev, h):  # close the ledger, then reset
                             assert state.ev_soc_kwh[i] - ev_start[i] == \
                                 pytest.approx(ev_flow[i], abs=TOL)
-                            ev_start[i], ev_flow[i] = ev.soc_on_arrival_kwh, 0.0
+                            ev_start[i], ev_flow[i] = ev.battery.soc_kwh, 0.0
                     if mask[h]:
                         out, state = islanded_step(ngrid, state, h)
                     else:
@@ -339,15 +337,16 @@ def with_signed_zeros(rng, fleet):
     BESS's or EV's starting SoC, and load, PV and HVAC floor hours (half of
     the zero-valued ones, a tenth of the others)."""
     def flip(profile):
-        return HourlyProfile([-0.0 if rng.random() < (0.5 if v == 0.0 else 0.1) else v
-                              for v in profile.values])
+        return tuple(-0.0 if rng.random() < (0.5 if v == 0.0 else 0.1) else v
+                     for v in profile)
 
     ngrids = []
     for ng in fleet.ngrids:
         bess = ng.bess
         if bess is not None and rng.random() < 0.3:
             bess = dataclasses.replace(bess, soc_kwh=-0.0)
-        evs = tuple(dataclasses.replace(ev, soc_on_arrival_kwh=-0.0) if rng.random() < 0.3
+        evs = tuple(dataclasses.replace(ev, battery=dataclasses.replace(ev.battery, soc_kwh=-0.0))
+                    if rng.random() < 0.3
                     else ev for ev in ng.evs)
         hvac = ng.hvac and HvacAsset(ng.hvac.p_normal_kw, flip(ng.hvac.p_min_kw))
         ngrids.append(dataclasses.replace(ng, base_load=flip(ng.base_load), pv=flip(ng.pv),
@@ -425,8 +424,8 @@ class TestKernel:
         ev = always_plugged_ev(capacity=10.0, p_max=2.0, soc=5.0)
         task = DeferrableTask(energy_kwh=3.0, power_kw=1.0, earliest_hour=0, deadline_hour=23)
         healthy = make_ngrid(base=1.0)
-        corrupt = NGrid(id="BAD", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
-                        pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 5.0),
+        corrupt = NGrid(id="BAD", feeder_id="F1", base_load=(1.0,) * H, pv=(0.0,) * H,
+                        bess=StorageUnit(10.0, 5.0, 5.0),
                         evs=(ev,), deferrables=(task,))
         arrays = FleetArrays.build([healthy, corrupt], H)
         state = arrays.initial_state()

@@ -12,8 +12,7 @@ from ngridsim import harness
 from ngridsim.casestudy import build_case_study, write_bundle
 from ngridsim.cli import main
 from ngridsim.config import load_scenario
-from ngridsim.fleet import (Fleet, HourlyProfile, NGrid, StorageUnit,
-                            validate_fleet)
+from ngridsim.fleet import Fleet, NGrid, StorageUnit, validate_fleet
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
                               emit_report, feeder_rng, islanded_masks,
@@ -38,8 +37,7 @@ def flat_sor(feeders, p=0.0, overrides=None):
 
 def single_ngrid_scenario(load=2.0, pv=0.0, bess=None, sor=None, **kw):
     ng = NGrid(id="N1", feeder_id="F1",
-               base_load=HourlyProfile.constant(load, H),
-               pv=HourlyProfile.constant(pv, H), bess=bess)
+               base_load=(load,) * H, pv=(pv,) * H, bess=bess)
     fleet = Fleet(feeders=("F1",), ngrids=(ng,))
     if sor is None:
         sor = flat_sor(["F1"])
@@ -160,8 +158,7 @@ class TestRunReplication:
     def test_additivity_over_ngrids(self):
         ngrids = tuple(
             NGrid(id=f"N{i}", feeder_id="F1",
-                  base_load=HourlyProfile.constant(1.0 + i, H),
-                  pv=HourlyProfile.zeros(H))
+                  base_load=(1.0 + i,) * H, pv=(0.0,) * H)
             for i in range(3))
         fleet = Fleet(feeders=("F1",), ngrids=ngrids)
         sor = flat_sor(["F1"], overrides={("F1", 3): 1.0})
@@ -174,10 +171,10 @@ class TestRunReplication:
         assert series.ens_kw.sum() == pytest.approx(12.0)
 
     def test_healthy_feeder_ramp_unchanged(self):
-        ng1 = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
-                    pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
-        ng2 = NGrid(id="N2", feeder_id="F2", base_load=HourlyProfile.constant(1.0, H),
-                    pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
+        ng1 = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
+                    pv=(0.0,) * H, bess=StorageUnit(10.0, 5.0, 10.0))
+        ng2 = NGrid(id="N2", feeder_id="F2", base_load=(1.0,) * H,
+                    pv=(0.0,) * H, bess=StorageUnit(10.0, 5.0, 10.0))
         fleet = Fleet(feeders=("F1", "F2"), ngrids=(ng1, ng2))
         sor = flat_sor(["F1", "F2"], overrides={("F1", 5): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=1.0)
@@ -192,8 +189,8 @@ class TestRunReplication:
     def test_feeder_without_ngrids(self):
         """A feeder with no n-Grids can fail, alone in a chunk or with
         others, and its outages change no series."""
-        ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
-                   pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(5.0, 1.0, 5.0))
+        ng = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
+                   pv=(0.5,) * H, bess=StorageUnit(5.0, 1.0, 5.0))
         fleet = Fleet(feeders=("F1", "F2"), ngrids=(ng,))
         assert validate_fleet(fleet, H) == []
         for f1_fails in (False, True):
@@ -360,12 +357,12 @@ class TestIncrementalReplication:
         hour; N1's BESS refills at 0.5 kW and rejoins one hour later. The
         feeder is stepped from hour k up to the first hour after its outage
         at which both match the shadow, and F2 is never stepped."""
-        n1 = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
-                   pv=HourlyProfile.constant(0.5, H), bess=StorageUnit(10.0, 0.5, 10.0))
-        n2 = NGrid(id="N2", feeder_id="F1", base_load=HourlyProfile.constant(2.0, H),
-                   pv=HourlyProfile.zeros(H))
-        n3 = NGrid(id="N3", feeder_id="F2", base_load=HourlyProfile.constant(1.0, H),
-                   pv=HourlyProfile.zeros(H), bess=StorageUnit(10.0, 5.0, 10.0))
+        n1 = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
+                   pv=(0.5,) * H, bess=StorageUnit(10.0, 0.5, 10.0))
+        n2 = NGrid(id="N2", feeder_id="F1", base_load=(2.0,) * H,
+                   pv=(0.0,) * H)
+        n3 = NGrid(id="N3", feeder_id="F2", base_load=(1.0,) * H,
+                   pv=(0.0,) * H, bess=StorageUnit(10.0, 5.0, 10.0))
         fleet = Fleet(feeders=("F1", "F2"), ngrids=(n1, n2, n3))
         sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
@@ -613,8 +610,8 @@ class TestRunSimulation:
             rng = random.Random(seed)
             shuffled = random_fleet(rng, n_feeders=3, ngrids_per_feeder=6)
             fleet = Fleet(shuffled.feeders, tuple(
-                replace(ng, base_load=HourlyProfile(round(v, 6) for v in ng.base_load.values),
-                        pv=HourlyProfile(round(v, 6) for v in ng.pv.values))
+                replace(ng, base_load=tuple(round(v, 6) for v in ng.base_load),
+                        pv=tuple(round(v, 6) for v in ng.pv))
                 for ng in shuffled.ngrids))
             scenario = Scenario(fleet=fleet, sor=flat_sor(fleet.feeders, 0.3),
                                 horizon=H, repair_hours=2.0, replications=30, master_seed=seed)
@@ -729,8 +726,8 @@ class TestEmitReport:
 
 class TestValidateScenario:
     def test_sor_completeness_checked(self):
-        ng = NGrid(id="N1", feeder_id="F1", base_load=HourlyProfile.constant(1.0, H),
-                   pv=HourlyProfile.zeros(H))
+        ng = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
+                   pv=(0.0,) * H)
         fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         sor = SorTable({("F1", h): 0.0 for h in range(H - 1)})  # hour 23 missing
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H)

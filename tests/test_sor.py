@@ -98,7 +98,7 @@ class TestTrain:
                 total += v
             return total
 
-        def check(rows, goes_left, order):
+        def assert_leaf_sums(rows, goes_left, order):
             (stump,) = train(rows, n_stumps=1, min_leaf_count=1).stumps
             prior = sum(r.label for r in rows) / len(rows)
             p = sigmoid(math.log(prior / (1.0 - prior)))
@@ -112,7 +112,7 @@ class TestTrain:
 
         rows = [FeatureRow("F1", i % 24, {}, {"c": "ab"[i % 2]}, label=int(i % 3 == 0))
                 for i in range(50)]
-        check(rows, lambda s, r: r.categorical["c"] in s.levels, range(len(rows)))
+        assert_leaf_sums(rows, lambda s, r: r.categorical["c"] in s.levels, range(len(rows)))
 
         # Tied values, so the stable sort order is not row order; here the
         # left sum in sort order differs from both the row-order sum and the
@@ -120,7 +120,8 @@ class TestTrain:
         rows = [FeatureRow("F1", i % 24, {"x": float(i * 5 % 8)}, label=int(i % 3 == 0))
                 for i in range(60)]
         stable = sorted(range(len(rows)), key=lambda i: rows[i].numeric["x"])
-        left_r, in_sort, in_rows = check(rows, lambda s, r: r.numeric["x"] < s.threshold, stable)
+        left_r, in_sort, in_rows = assert_leaf_sums(
+            rows, lambda s, r: r.numeric["x"] < s.threshold, stable)
         assert len(in_sort) == 37
         assert left_r != in_order(in_rows) and left_r != float(np.sum(in_sort))
 
