@@ -11,6 +11,7 @@ and shape checks, not value reproduction.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -160,8 +161,9 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
                                        for t in ng.deferrables]
             fdoc["ngrids"].append(ndoc)
         fleet_doc["feeders"].append(fdoc)
-    with open(os.path.join(out_dir, "fleet.yaml"), "w") as fh:
-        yaml.safe_dump(fleet_doc, fh, sort_keys=False)
+    with open(os.path.join(out_dir, "fleet.json"), "w") as fh:
+        json.dump(fleet_doc, fh, indent=1)
+        fh.write("\n")
 
     scenario_doc = {
         "horizon": scenario.horizon,
@@ -170,7 +172,7 @@ def write_bundle(scenario: Scenario, out_dir) -> str:
         "seed": scenario.master_seed,
         "sr_delivery_hours": scenario.sr_delivery_hours,
         "precharge": scenario.precharge,
-        "fleet": "fleet.yaml",
+        "fleet": "fleet.json",
         "profiles": "profiles.csv",
         "sor": "sor.csv",
     }

@@ -2,17 +2,21 @@
 
 Scenario files are YAML with scalar settings plus paths (relative to the
 scenario file) for the fleet config, the profiles CSV, the SoR CSV, and an
-optional derate CSV. Fleet configs are YAML: feeders with per-n-Grid blocks
-declaring BESS, EVs (plug hours as ranges like ``0-6,19-23``, and the SoC
-at each plug-in as ``soc_arrival_kwh``), HVAC (constant or per-hour list),
-and deferrable tasks. Profiles come from a ``ngrid_id,hour,load_kw,pv_kw``
-CSV with one row per n-Grid hour; every profile is a tuple of floats. A key
-may appear once per YAML mapping: a repeated one is reported with its line.
-The loaders check form; :func:`ngridsim.fleet.validate_fleet` checks values.
+optional derate CSV. Fleet configs are JSON: feeders with per-n-Grid blocks
+declaring BESS, EVs (plug hours as ranges like ``0-6,19-23`` or a list of
+hours, and the SoC at each plug-in as ``soc_arrival_kwh``), HVAC (constant
+or per-hour list), and deferrable tasks. Every fleet number is a JSON number
+(not a bool or a string) and every hour a JSON integer. Profiles come from a
+``ngrid_id,hour,load_kw,pv_kw`` CSV with one row per n-Grid hour; every
+profile is a tuple of floats. A key may appear once per YAML mapping or JSON
+object: a repeated one is reported, with its line in YAML (the C decoder in
+``json`` gives no position for a key). The loaders check form;
+:func:`ngridsim.fleet.validate_fleet` checks values.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import fields
 
@@ -28,10 +32,24 @@ DERATE_COLUMNS = ("feeder_id", "hour", "factor")
 SCENARIO_DEFAULTS = {f.name: f.default for f in fields(Scenario)}
 
 
+def _number(value, name: str) -> float:
+    """A fleet number: ``json`` gives int or float, and bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _hour(value, name: str) -> int:
+    """An hour index: a JSON integer, not 9.7, 9.0 or true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name}: expected an integer hour, got {value!r}")
+    return value
+
+
 def parse_plug_hours(spec) -> set[int]:
     """``"0-6,19-23"`` (or a list of ints) -> set of hour indices."""
     if isinstance(spec, (list, tuple)):
-        return {int(h) for h in spec}
+        return {_hour(h, "plug_hours") for h in spec}
     hours: set[int] = set()
     for part in str(spec).split(","):
         part = part.strip()
@@ -49,13 +67,13 @@ def parse_plug_hours(spec) -> set[int]:
 
 
 def _profile(value, horizon: int, field: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * horizon
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if len(value) != horizon:
             raise ValueError(f"{field}: profile length {len(value)} != horizon {horizon}")
-        return tuple(float(v) for v in value)
-    raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
+        return tuple(_number(v, f"{field} hour {h}") for h, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
+    return (float(value),) * horizon
 
 
 def load_profiles(path, horizon: int) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -112,42 +130,72 @@ def _load_yaml(path):
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a key that repeats within it instead of
+    keeping its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _battery(doc, owner: str, soc_key: str, soc_default=None) -> StorageUnit:
+    """A BESS or EV block's battery. Its starting SoC is field ``soc_key``,
+    required unless ``soc_default`` is given."""
+    soc = doc[soc_key] if soc_default is None else doc.get(soc_key, soc_default)
+    return StorageUnit(capacity_kwh=_number(doc["capacity_kwh"], f"{owner} capacity_kwh"),
+                       p_max_kw=_number(doc["p_max_kw"], f"{owner} p_max_kw"),
+                       soc_kwh=_number(soc, f"{owner} {soc_key}"),
+                       eta_charge=_number(doc.get("eta_charge", 1.0), f"{owner} eta_charge"),
+                       eta_discharge=_number(doc.get("eta_discharge", 1.0),
+                                             f"{owner} eta_discharge"))
+
+
 def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGrid:
     base_load, pv = profiles[nid]
     bess = None
     if "bess" in ndoc and ndoc["bess"] is not None:
         b = ndoc["bess"]
-        bess = StorageUnit(capacity_kwh=float(b["capacity_kwh"]),
-                           p_max_kw=float(b["p_max_kw"]),
-                           soc_kwh=float(b.get("soc0_kwh", b["capacity_kwh"])),
-                           eta_charge=float(b.get("eta_charge", 1.0)),
-                           eta_discharge=float(b.get("eta_discharge", 1.0)))
+        bess = _battery(b, "BESS", "soc0_kwh", b["capacity_kwh"])
     evs = []
-    for edoc in ndoc.get("evs", []) or []:
-        battery = StorageUnit(capacity_kwh=float(edoc["capacity_kwh"]),
-                              p_max_kw=float(edoc["p_max_kw"]),
-                              soc_kwh=float(edoc["soc_arrival_kwh"]),
-                              eta_charge=float(edoc.get("eta_charge", 1.0)),
-                              eta_discharge=float(edoc.get("eta_discharge", 1.0)))
-        evs.append(ElectricVehicle(battery=battery,
-                                   plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"]))))
+    for i, edoc in enumerate(ndoc.get("evs", []) or []):
+        evs.append(ElectricVehicle(
+            battery=_battery(edoc, f"EV {i}", "soc_arrival_kwh"),
+            plug_hours=frozenset(parse_plug_hours(edoc["plug_hours"]))))
     hvac = None
     if "hvac" in ndoc and ndoc["hvac"] is not None:
         hdoc = ndoc["hvac"]
         hvac = HvacAsset(p_normal_kw=_profile(hdoc["p_normal"], horizon, "hvac p_normal"),
                          p_min_kw=_profile(hdoc["p_min"], horizon, "hvac p_min"))
     tasks = []
-    for tdoc in ndoc.get("deferrables", []) or []:
-        tasks.append(DeferrableTask(energy_kwh=float(tdoc["energy_kwh"]),
-                                    power_kw=float(tdoc["power_kw"]),
-                                    earliest_hour=int(tdoc["earliest"]),
-                                    deadline_hour=int(tdoc["deadline"])))
+    for i, tdoc in enumerate(ndoc.get("deferrables", []) or []):
+        tasks.append(DeferrableTask(
+            energy_kwh=_number(tdoc["energy_kwh"], f"task {i} energy_kwh"),
+            power_kw=_number(tdoc["power_kw"], f"task {i} power_kw"),
+            earliest_hour=_hour(tdoc["earliest"], f"task {i} earliest"),
+            deadline_hour=_hour(tdoc["deadline"], f"task {i} deadline")))
     return NGrid(id=nid, feeder_id=feeder_id, base_load=base_load, pv=pv,
                  bess=bess, evs=tuple(evs), hvac=hvac, deferrables=tuple(tasks))
 
 
 def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
-    doc = _load_yaml(fleet_path)
+    doc = _load_json(fleet_path)
     if not isinstance(doc, dict) or "feeders" not in doc:
         raise ValidationError(f"{fleet_path}: expected a top-level 'feeders' list")
     profiles = load_profiles(profiles_path, horizon)

@@ -28,20 +28,17 @@ def write_tiny_bundle(root):
     sor_lines = ["feeder_id,hour,probability"]
     sor_lines += [f"F1,{h},{1.0 if h == 2 else 0.0}" for h in range(H)]
     (root / "sor.csv").write_text("\n".join(sor_lines) + "\n")
-    (root / "fleet.yaml").write_text(
-        "feeders:\n"
-        "- id: F1\n"
-        "  ngrids:\n"
-        "  - id: N1\n"
-        "    bess: {capacity_kwh: 10.0, p_max_kw: 5.0, soc0_kwh: 10.0}\n"
-        "    evs:\n"
-        "    - {capacity_kwh: 60.0, p_max_kw: 7.0, soc_arrival_kwh: 30.0,\n"
-        "       plug_hours: '0-6,19-23'}\n"
-        "    hvac: {p_normal: 1.0, p_min: 0.3}\n"
-        "    deferrables:\n"
-        "    - {energy_kwh: 2.0, power_kw: 1.0, earliest: 9, deadline: 16}\n")
+    (root / "fleet.json").write_text(
+        '{"feeders": [{"id": "F1", "ngrids": [{\n'
+        ' "id": "N1",\n'
+        ' "bess": {"capacity_kwh": 10.0, "p_max_kw": 5.0, "soc0_kwh": 10.0},\n'
+        ' "evs": [{"capacity_kwh": 60.0, "p_max_kw": 7.0, "soc_arrival_kwh": 30.0,\n'
+        '          "plug_hours": "0-6,19-23"}],\n'
+        ' "hvac": {"p_normal": 1.0, "p_min": 0.3},\n'
+        ' "deferrables": [{"energy_kwh": 2.0, "power_kw": 1.0, "earliest": 9, "deadline": 16}]\n'
+        '}]}]}\n')
     (root / "scenario.yaml").write_text(
-        "fleet: fleet.yaml\n"
+        "fleet: fleet.json\n"
         "profiles: profiles.csv\n"
         "sor: sor.csv\n"
         "repair_hours: 1.0\n"
@@ -78,7 +75,7 @@ class TestConfigLoading:
         """A scenario file naming only its fleet, profiles and SoR table
         loads with every other ``Scenario`` field at its default."""
         path = write_tiny_bundle(tmp_path / "tiny")
-        path.write_text("fleet: fleet.yaml\nprofiles: profiles.csv\nsor: sor.csv\n")
+        path.write_text("fleet: fleet.json\nprofiles: profiles.csv\nsor: sor.csv\n")
         scenario = load_scenario(path)
         for field in fields(Scenario):
             if field.name not in ("fleet", "sor"):
@@ -132,9 +129,9 @@ class TestConfigLoading:
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.iterdir()}
         assert digests == {
-            "fleet.yaml": "ab090a895d4314bf555bf80562456d0b50430b45098acc95ee215967589e8054",
+            "fleet.json": "908cc280c72a63405c0455d3631473dcdca541b79299a0843e3ff2b2ad30c8d8",
             "profiles.csv": "66355a2a446649559375172ec7c006d6420cabf8c3277c6afa5b57821d95266a",
-            "scenario.yaml": "d45a7959d9fdbb1b1a2d9a49af699990d2a0b37109a71bfe4ccf744cac2e2c44",
+            "scenario.yaml": "ea00938c9f4ff7ac7f216be7b545dcf63de5d155b9c78f3c613e4d7081c852a6",
             "sor.csv": "ecbfa3141b884c29ac0fddf4673b5380e1f5cd8adabd0c30009f865d0b6d669d",
         }
 
@@ -222,19 +219,33 @@ class TestLoaderErrors:
 
     def test_missing_fleet_field(self, tmp_path, capsys):
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        fleet = scenario.parent / "fleet.yaml"
-        fleet.write_text(fleet.read_text().replace("capacity_kwh: 10.0, ", ""))
+        fleet = scenario.parent / "fleet.json"
+        fleet.write_text(fleet.read_text().replace('"capacity_kwh": 10.0, ', ""))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert "fleet.yaml" in err and "'N1'" in err and "'capacity_kwh'" in err
+        assert "fleet.json" in err and "'N1'" in err and "'capacity_kwh'" in err
 
     def test_malformed_yaml(self, tmp_path, capsys):
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        fleet = scenario.parent / "fleet.yaml"
-        fleet.write_text(fleet.read_text().replace("- id: N1", "- id: [N1"))
+        scenario.write_text(scenario.read_text().replace("seed: 7", "seed: [7"))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert "fleet.yaml" in err and "malformed YAML" in err
+        assert "scenario.yaml" in err and "malformed YAML" in err
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("fleet.json", '{"feeders": [\n {"id": [F1"}]}\n', "line 2 column 10"),
+        ("fleet.yaml", "feeders:\n- id: F1\n  ngrids:\n  - id: N1\n", "line 1 column 1"),
+    ], ids=["json", "yaml-fleet"])
+    def test_malformed_fleet_json(self, tmp_path, capsys, name, text, where):
+        """The fleet file is JSON only: a YAML one is malformed JSON, reported
+        with the decoder's line and column."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace("fleet.json", name))
+        (scenario.parent / name).write_text(text)
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert name in err and "malformed JSON" in err and where in err
 
     def test_nan_repair_hours(self, tmp_path, capsys):
         scenario = write_tiny_bundle(tmp_path / "tiny")
@@ -298,8 +309,9 @@ class TestLoaderErrors:
             f"N{n},{h},{n}.0,0.0\n" for n in (1, 2) for h in range(H)))
         (root / "sor.csv").write_text(
             "feeder_id,hour,probability\n" + "".join(f"F1,{h},0.0\n" for h in range(H)))
-        (root / "fleet.yaml").write_text(
-            "feeders:\n- id: F1\n  ngrids:\n  - id: N1\n- id: F1\n  ngrids:\n  - id: N2\n")
+        (root / "fleet.json").write_text(
+            '{"feeders": [{"id": "F1", "ngrids": [{"id": "N1"}]},\n'
+            '             {"id": "F1", "ngrids": [{"id": "N2"}]}]}\n')
         loaded = load_scenario(scenario)
         assert [ng.id for ng in loaded.fleet.ngrids] == ["N1", "N2"]
         assert validate_scenario(loaded) == ["duplicate feeder id 'F1'"]
@@ -309,53 +321,70 @@ class TestLoaderErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, named", [
-        ("plug_hours: '0-6,19-23'", "plug_hours: '9-3'",
+        ('"plug_hours": "0-6,19-23"', '"plug_hours": "9-3"',
          "n-Grid 'N1': plug hour range '9-3' is reversed"),
-        ("p_normal: 1.0", "p_normal: [1.0, 1.0]",
+        ('"p_normal": 1.0', '"p_normal": [1.0, 1.0]',
          "n-Grid 'N1': hvac p_normal: profile length 2 != horizon 24"),
-        ("p_normal: 1.0", "p_normal: abc",
+        ('"p_normal": 1.0', '"p_normal": "abc"',
          "n-Grid 'N1': hvac p_normal: expected a number or a list of 24 numbers"),
-        ("earliest: 9", "earliest: .inf", "n-Grid 'N1': cannot convert float infinity to integer"),
-    ], ids=["reversed-plug-hours", "hvac-length", "hvac-text", "infinite-hour"])
+        ('"earliest": 9,', '"earliest": Infinity,',
+         "n-Grid 'N1': task 0 earliest: expected an integer hour, got inf"),
+        ('"p_max_kw": 5.0', '"p_max_kw": true',
+         "n-Grid 'N1': BESS p_max_kw: expected a number, got True"),
+        ('"p_normal": 1.0', '"p_normal": true',
+         "n-Grid 'N1': hvac p_normal: expected a number or a list of 24 numbers"),
+        ('"earliest": 9,', '"earliest": 9.7,',
+         "n-Grid 'N1': task 0 earliest: expected an integer hour, got 9.7"),
+        ('"plug_hours": "0-6,19-23"', '"plug_hours": [0, 1.5, 19]',
+         "n-Grid 'N1': plug_hours: expected an integer hour, got 1.5"),
+    ], ids=["reversed-plug-hours", "hvac-length", "hvac-text", "infinite-hour", "bool-bess-power",
+            "bool-hvac", "fractional-hour", "fractional-plug-hour"])
     def test_fleet_field_named_with_file(self, tmp_path, capsys, old, new, named):
+        """A fleet number is a JSON number and an hour a JSON integer: a bool
+        or a fraction is named with its file, n-Grid and key."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        fleet = scenario.parent / "fleet.yaml"
+        fleet = scenario.parent / "fleet.json"
         fleet.write_text(fleet.read_text().replace(old, new))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
         assert err == f"validation error: {fleet}: {named}\n"
 
     @pytest.mark.parametrize("old, new, named", [
-        ("p_normal: 1.0", "p_normal: .inf", "HVAC p_normal_kw has negative or non-finite values"),
-        ("p_max_kw: 5.0", "p_max_kw: .inf", "BESS: p_max_kw must be finite and > 0"),
-        ("capacity_kwh: 10.0", "capacity_kwh: .inf", "BESS: capacity_kwh must be finite and > 0"),
-        ("power_kw: 1.0", "power_kw: .inf", "task 0: power_kw must be finite and > 0"),
-        ("energy_kwh: 2.0", "energy_kwh: .inf", "task 0: energy_kwh must be finite and > 0"),
+        ('"p_normal": 1.0', '"p_normal": Infinity',
+         "HVAC p_normal_kw has negative or non-finite values"),
+        ('"p_max_kw": 5.0', '"p_max_kw": Infinity', "BESS: p_max_kw must be finite and > 0"),
+        ('"capacity_kwh": 10.0', '"capacity_kwh": Infinity',
+         "BESS: capacity_kwh must be finite and > 0"),
+        ('"power_kw": 1.0', '"power_kw": Infinity', "task 0: power_kw must be finite and > 0"),
+        ('"energy_kwh": 2.0', '"energy_kwh": Infinity',
+         "task 0: energy_kwh must be finite and > 0"),
     ], ids=["hvac-p-normal", "bess-p-max", "bess-capacity", "task-power", "task-energy"])
     def test_non_finite_fleet_number(self, tmp_path, capsys, old, new, named):
         """An infinite number in the fleet file is named by its field before
         any dispatch, instead of running to infinite or wrong series."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        fleet = scenario.parent / "fleet.yaml"
+        fleet = scenario.parent / "fleet.json"
         fleet.write_text(fleet.read_text().replace(old, new, 1))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
         assert err == f"validation error: n-Grid 'N1' {named}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name, old, new, key, line", [
-        ("fleet.yaml", "    evs:\n", "    bess: {capacity_kwh: 20.0, p_max_kw: 5.0}\n    evs:\n",
-         "bess", 6),
-        ("scenario.yaml", "seed: 7\n", "seed: 7\nseed: 8\n", "seed", 7),
+    @pytest.mark.parametrize("name, old, new, problem", [
+        ("fleet.json", ' "evs": ', ' "bess": {"capacity_kwh": 20.0, "p_max_kw": 5.0},\n "evs": ',
+         "repeated key 'bess'"),
+        ("scenario.yaml", "seed: 7\n", "seed: 7\nseed: 8\n", "repeated key 'seed' at line 7"),
     ], ids=["two-bess", "two-seeds"])
-    def test_repeated_yaml_key(self, tmp_path, capsys, name, old, new, key, line):
-        """A key given twice in one mapping is an error, not its last value."""
+    def test_repeated_yaml_key(self, tmp_path, capsys, name, old, new, problem):
+        """A key given twice in one mapping is an error, not its last value.
+        The JSON decoder gives no position for a key, so only YAML's is named
+        with its line."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
         path = scenario.parent / name
         path.write_text(path.read_text().replace(old, new))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert err == f"validation error: {path}: repeated key {key!r} at line {line}\n"
+        assert err == f"validation error: {path}: {problem}\n"
 
     @pytest.mark.parametrize("setting, argv, seed", [("seed: -1", [], -1),
                                                      ("seed: 7", ["--seed", "-3"], -3)],
@@ -383,10 +412,11 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("name, argv", [
         ("profiles.csv", SIMULATE),
-        ("fleet.yaml", SIMULATE),
+        ("scenario.yaml", SIMULATE),
+        ("fleet.json", SIMULATE),
         ("model.json", ["sor", "eval", "--model", "{root}/model.json",
                         "--data", "{root}/train.csv"]),
-    ], ids=["csv", "yaml", "model"])
+    ], ids=["csv", "yaml", "json", "model"])
     def test_not_utf8(self, tmp_path, capsys, name, argv):
         root = tmp_path / "tiny"
         write_tiny_bundle(root)
