@@ -125,7 +125,12 @@ def _load_yaml(path):
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         except yaml.YAMLError as exc:
-            raise ValidationError(f"{path}: malformed YAML: {exc}") from None
+            # PyYAML's own text spans several lines: keep the problem and its
+            # position, or, for an error with no position, its text on one line.
+            mark = getattr(exc, "problem_mark", None)
+            detail = (" ".join(str(exc).split()) if mark is None else
+                      f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}")
+            raise ValidationError(f"{path}: malformed YAML: {detail}") from None
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 

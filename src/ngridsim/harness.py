@@ -2,11 +2,13 @@
 fleet aggregation, repair-time sweeps, and report emission.
 
 Randomness is fully determined by (master_seed, replication_index,
-feeder_id): each feeder gets its own counter-based stream, so adding feeders
-or changing the repair time never perturbs another feeder's draws. One
-uniform is pre-drawn per feeder-hour and the Bernoulli comparison is applied
-only while no outage is active, which keeps outage *starts* identical across
-repair-time sweep points.
+feeder_id): each feeder draws from its own PCG64 stream, seeded through
+``SeedSequence`` from the seed, the replication and the CRC-32 of the feeder
+id, so adding feeders or changing the repair time never perturbs another
+feeder's draws. One uniform is drawn per feeder-hour and the Bernoulli
+comparison is applied only while no outage is active, which keeps outage
+*starts* identical across repair-time sweep points; a Monte Carlo pass draws
+each stream once and derives every repair time's outages from it.
 
 A simulation is a sweep of one repair time. A sweep validates once,
 computes the no-outage shadow (the whole fleet grid-tied all day, stepped
@@ -14,17 +16,20 @@ as one block by :func:`ngridsim.dispatch.step`) once, and runs one Monte
 Carlo pass for all its points. Each feeder with an outage at a repair time
 in a replication is a group of rows, one per n-Grid on it; the groups of
 every point and replication queue into the same chunks of ``ROW_BUDGET``
-rows, and a chunk is stepped hour by hour with at most two kernel calls an
-hour, one on its islanded rows and one on its connected rows. A group
-starts from the shadow's states at its first outage hour and, after its
-last islanded hour, drops out once every row's state equals the shadow's
-after a connected hour, as connected dispatch then repeats the shadow.
+rows. A feeder's dispatch depends only on its own islanded hours, so a
+chunk steps each distinct (feeder, islanded hours) pattern once, whatever
+the number of its groups. A pattern's rows join the chunk's live rows from
+the shadow's states at its first outage hour and, after its last islanded
+hour, leave them once every row's state equals the shadow's after a
+connected hour, as connected dispatch then repeats the shadow. The live
+rows are stepped hour by hour with at most two kernel calls an hour, one
+on the islanded rows and one on the connected rows.
 A replication's series is the shadow's baseline plus, at each hour a group
-is stepped, its feeder's load, ENS and spill summed over its n-Grids in
-fleet order from 0.0, less the shadow's feeder totals; groups add in
-feeder id order, and islanded hours lose the feeder's ramp.
-So results are bit-identical to a from-hour-0 re-dispatch summed by the
-same rule, whatever the chunks.
+is stepped, its pattern's load, ENS and spill summed over the feeder's
+n-Grids in fleet order from 0.0, less the shadow's feeder totals; groups
+add in queue order (replication, then feeder id), and islanded hours lose
+the feeder's ramp. So results are bit-identical to a from-hour-0
+re-dispatch summed by the same rule, whatever the chunks.
 """
 
 from __future__ import annotations
@@ -138,10 +143,49 @@ class SimulationReport:
     per_rep_spilled_mwh: list[float]
 
 
+def _seed_words(n: int) -> list[int]:
+    """``n`` as ``SeedSequence`` splits a Python int: its little-endian
+    32-bit words, one word for 0."""
+    if n < 0:
+        raise ValueError(f"seed values must be >= 0, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 def feeder_rng(master_seed: int, replication_index: int, feeder_id: str) -> np.random.Generator:
-    """Independent, reproducible stream per (seed, replication, feeder)."""
+    """Independent, reproducible stream per (seed, replication, feeder): the
+    stream of ``np.random.default_rng([master_seed, replication_index,
+    crc32(feeder_id)])``, seeded from the same words as a ``uint32`` array,
+    which ``SeedSequence`` takes without converting each int."""
     tag = zlib.crc32(feeder_id.encode("utf-8"))
-    return np.random.default_rng([master_seed, replication_index, tag])
+    words = _seed_words(master_seed) + _seed_words(replication_index) + [tag]
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
+def _draw_hits(sor: SorTable, horizon: int, rng_for_feeder) -> list[tuple[int, int]]:
+    """(feeder index, hour) of each feeder-hour whose uniform falls below
+    its SoR, by feeder and then hour; ``rng_for_feeder`` maps a feeder id to
+    its Generator, which draws one uniform per hour."""
+    u = np.array([rng_for_feeder(feeder_id).random(horizon) for feeder_id in sor.feeder_ids])
+    return list(zip(*(a.tolist() for a in np.nonzero(u < sor.probabilities[:, :horizon]))))
+
+
+def _outage_events(feeder_ids: tuple[str, ...], hits: list[tuple[int, int]],
+                   repair_hours: float, horizon: int) -> list[OutageEvent]:
+    """The outages that ``hits`` (as :func:`_draw_hits` gives them) start
+    at this repair time: a hit while its feeder's outage is active starts
+    none."""
+    duration = max(1, math.ceil(repair_hours))
+    events: list[OutageEvent] = []
+    active_until: dict[int, int] = {}
+    for f, h in hits:
+        if h >= active_until.get(f, 0):
+            events.append(OutageEvent(feeder_id=feeder_ids[f], start_hour=h,
+                                      duration_hours=min(duration, horizon - h)))
+            active_until[f] = h + duration
+    return events
 
 
 def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
@@ -150,17 +194,8 @@ def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
     ``rng_for_feeder`` maps a feeder id to its Generator. One uniform is
     drawn for every hour up front, so the set of potential start hours
     does not depend on the repair duration."""
-    duration = max(1, math.ceil(repair_hours))
-    events: list[OutageEvent] = []
-    for feeder_id, p in zip(sor.feeder_ids, sor.probabilities):
-        u = rng_for_feeder(feeder_id).random(horizon)
-        active_until = 0
-        for h in np.flatnonzero(u < p[:horizon]).tolist():
-            if h >= active_until:
-                events.append(OutageEvent(feeder_id=feeder_id, start_hour=h,
-                                          duration_hours=min(duration, horizon - h)))
-                active_until = h + duration
-    return events
+    return _outage_events(sor.feeder_ids, _draw_hits(sor, horizon, rng_for_feeder),
+                          repair_hours, horizon)
 
 
 def islanded_masks(events: list[OutageEvent], horizon: int) -> list[tuple[str, np.ndarray]]:
@@ -190,8 +225,9 @@ class _Shadow:
 
 
 # A chunk takes (replication, disturbed feeder) groups until it holds this
-# many rows, so a kernel call holds fewer than it plus the largest feeder's.
-ROW_BUDGET = 2048
+# many rows, each group counting its feeder's rows even when it shares a
+# pattern, so a kernel call holds fewer than it plus the largest feeder's.
+ROW_BUDGET = 32768
 
 
 def _fold(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -246,62 +282,89 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
 
 
 def _step_chunk(shadow: _Shadow, series: np.ndarray, chunk: list) -> None:
-    """Step the rows of every (series offset, disturbed feeder, islanded
-    hours) group of ``chunk`` together, as the module docstring describes;
-    an offset is the flat index of a series' first element in ``series``."""
+    """Step the (series offset, disturbed feeder, islanded hours) groups of
+    ``chunk`` as the module docstring describes: each distinct pattern once,
+    on live rows only. An offset is the flat index of a series' first
+    element in ``series``."""
     H = len(shadow.frac)
-    sizes = [len(shadow.feeder_rows[f]) for _, f, _ in chunk]
-    idx = np.concatenate([shadow.feeder_rows[f] for _, f, _ in chunk])
-    group = np.repeat(np.arange(len(chunk)), sizes)
-    masks = np.array([mask for _, _, mask in chunk])
-    load = np.array([shadow.totals[f][0] for _, f, _ in chunk])
+    index, patterns, of_group = {}, [], []
+    for _, feeder, mask in chunk:
+        key = (feeder, mask.tobytes())
+        if key not in index:
+            index[key] = len(patterns)
+            patterns.append((feeder, mask))
+        of_group.append(index[key])
+    of_group = np.array(of_group, dtype=np.intp)
+    rows = [shadow.feeder_rows[f] for f, _ in patterns]
+    masks = np.array([mask for _, mask in patterns])
+    load = np.array([shadow.totals[f][0] for f, _ in patterns])
     # The flat index of each group's load, ENS and spill at hour 0.
     at = np.array([offset for offset, _, _ in chunk]) + np.array([[0], [2 * H], [3 * H]])
     first, last = masks.argmax(axis=1), H - 1 - masks[:, ::-1].argmax(axis=1)
-    islanded, start = masks[group], first[group]
-    state = FleetState(*(a[start, idx] for a in shadow.states))
-    now = np.empty((3, len(idx)))  # this hour's load, ENS and spill per row
-    done = np.zeros(len(chunk), dtype=bool)
+    # The live rows: every started, unfinished pattern's n-Grids, each
+    # pattern's together and in fleet order, with their fleet row and pattern.
+    idx, pattern = np.empty((2, 0), dtype=np.intp)
+    state = FleetState(*(a[0, :0] for a in shadow.states))
+    done = np.zeros(len(patterns), dtype=bool)
+    adds_at, adds = [], []
     for h in range(int(first.min()), H):
-        live = np.flatnonzero((start <= h) & ~done[group])
+        if (starting := np.flatnonzero(first == h)).size:
+            joining = np.concatenate([rows[k] for k in starting])
+            idx = np.concatenate([idx, joining])
+            pattern = np.concatenate([pattern, np.repeat(starting, [len(rows[k]) for k in starting])])
+            state = FleetState(*(np.concatenate([a, s[h].take(joining, 0)])
+                                 for a, s in zip(state, shadow.states)))
+        islanded = masks[pattern, h]
+        now = np.empty((3, len(idx)))  # this hour's load, ENS and spill per row
         for mode in (True, False):
-            sel = live[islanded[live, h] == mode]
+            sel = np.flatnonzero(islanded == mode)
             if sel.size:
                 flows, new = step(shadow.arrays, FleetState(*(a.take(sel, 0) for a in state)),
                                   h, mode, shadow.frac[h].take(idx[sel]), idx[sel])
                 for a, b in zip(state, new):
                     a[sel] = b
                 now[:, sel] = flows.served + flows.ens, flows.ens, flows.spilled
-        # Each stepped group's rows summed from 0.0 in index order, less the
-        # shadow's feeder load (its ENS and spill are 0), added in group order.
-        change = np.array([np.bincount(group[live], w, len(chunk)) for w in now[:, live]], float)
+        # Each stepped pattern's rows summed from 0.0 in fleet order, less the
+        # shadow's feeder load (its ENS and spill are 0), for each of its groups.
+        change = np.array([np.bincount(pattern, w, len(patterns)) for w in now], float)
         change[0] -= load[:, h]
-        stepped = np.flatnonzero((first <= h) & ~done)
-        np.add.at(series.reshape(-1), at[:, stepped] + h, change[:, stepped])
-        check = live[last[group[live]] < h]
+        stepped = np.flatnonzero(((first <= h) & ~done)[of_group])
+        adds_at.append(at[:, stepped] + h)
+        adds.append(change[:, of_group[stepped]])
+        check = np.flatnonzero(last[pattern] < h)
         same = (state.bess[check] == shadow.states.bess[h + 1].take(idx[check])) & (
             (state.ev[check] == shadow.states.ev[h + 1].take(idx[check], 0)).all(axis=1)) & (
             (state.tasks[check] == shadow.states.tasks[h + 1].take(idx[check], 0)).all(axis=1))
-        done[group[check]] = True
-        done[group[check[~same]]] = False
-        if done.all():
-            break
+        finished = np.zeros(len(patterns), dtype=bool)
+        finished[pattern[check]] = True
+        finished[pattern[check[~same]]] = False
+        if finished.any():
+            done |= finished
+            keep = ~finished[pattern]
+            idx, pattern = idx[keep], pattern[keep]
+            state = FleetState(*(a[keep] for a in state))
+            if done.all():
+                break
+    # Every element's adds in hour order, and within an hour in queue order.
+    np.add.at(series.reshape(-1), np.concatenate(adds_at, axis=1),
+              np.concatenate(adds, axis=1))
 
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
                  indices) -> tuple[np.ndarray, list[list[list[OutageEvent]]]]:
     """Series ``(P, R, 8, H)``, each ``[p, r]`` as ``_Shadow.baseline``, and
     outage logs ``[p][r]`` for repair time ``repair_values[p]`` and
-    replication ``indices[r]``. Replications go in order, each over every
-    repair time, and all their groups queue into the same chunks."""
+    replication ``indices[r]``. Replications go in order, each drawing its
+    feeders' uniforms once for every repair time, and all their groups
+    queue into the same chunks."""
     H = scenario.horizon
     series = np.tile(shadow.baseline, (len(repair_values), len(indices), 1, 1))
     logs = [[] for _ in repair_values]
     chunk, queued = [], 0
     for r, i in enumerate(indices):
+        hits = _draw_hits(scenario.sor, H, lambda fid: feeder_rng(scenario.master_seed, i, fid))
         for p, value in enumerate(repair_values):
-            events = sample_outages(scenario.sor, value, H,
-                                    lambda fid: feeder_rng(scenario.master_seed, i, fid))
+            events = _outage_events(scenario.sor.feeder_ids, hits, value, H)
             logs[p].append(events)
             for feeder_id, mask in islanded_masks(events, H):
                 # Islanded n-Grids deliver no ramp-up or ramp-down capacity

@@ -231,6 +231,20 @@ class TestLoaderErrors:
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
         assert "scenario.yaml" in err and "malformed YAML" in err
+        # One line, naming where the parser gave up: the end of the file. The
+        # problem's wording differs between PyYAML's C and Python parsers.
+        assert err.count("\n") == 1
+        assert "expected ',' or ']'" in err and err.endswith(" at line 7, column 1\n")
+
+    def test_yaml_control_character(self, tmp_path, capsys):
+        """PyYAML's reader rejects a control character with no line mark:
+        its two-line text is reported on one line."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace("seed: 7", "seed: 7\x01"))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert "malformed YAML: unacceptable character #x0001" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name, text, where", [
         ("fleet.json", '{"feeders": [\n {"id": [F1"}]}\n', "line 2 column 10"),

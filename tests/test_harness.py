@@ -2,6 +2,7 @@ import filecmp
 import math
 import random
 import threading
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -107,6 +108,20 @@ class TestSampleOutages:
                     assert got == want, (case, rep, horizon)
                     seen_hour_23 |= any(ev.start_hour == H - 1 for ev in got)
         assert seen_hour_23
+
+    @pytest.mark.parametrize("seed, rep", [
+        (0, 0), (2**32 - 1, 3), (2**32, 3), (2**64 + 5, 3), (7, 2**33 + 1)])
+    def test_stream_of_python_int_seed(self, seed, rep):
+        """Seeding from words gives the stream of the Python-int list, also
+        for values that take more than one 32-bit word."""
+        for feeder_id in ("F1", "feeder-7"):
+            want = np.random.default_rng([seed, rep, zlib.crc32(feeder_id.encode("utf-8"))])
+            got = feeder_rng(seed, rep, feeder_id)
+            assert got.random(48).tobytes() == want.random(48).tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            feeder_rng(-1, 0, "F1")
 
     def test_empirical_frequency(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 0.3})
@@ -558,6 +573,53 @@ class TestChunks:
             for budget in (default, 1):
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
                 assert_same_report(run_simulation(scenario), want)
+
+
+class TestSharing:
+    """A chunk steps each distinct (feeder, islanded hours) pattern once, and
+    a pass draws each (replication, feeder) stream once."""
+
+    @pytest.mark.parametrize("k", [0, 9, 23])
+    def test_one_pattern_stepped_once(self, k, monkeypatch, chunk_log):
+        """F1 fails at hour k in every replication and no other feeder ever
+        fails: each chunk steps F1's n-Grids once an hour from hour k,
+        whatever its number of groups, and the report is the from-hour-0
+        one, by bytes."""
+        fleet = random_fleet(random.Random(k), n_feeders=3, ngrids_per_feeder=3)
+        sor = SorTable({(f, h): float(f == "F1" and h == k)
+                        for f in fleet.feeders for h in range(H)})
+        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0,
+                            replications=16, master_seed=k)
+        want = simulation_from_hour0(scenario, compute_shadow(scenario))
+        f1 = {ng.id for ng in fleet.ngrids if ng.feeder_id == "F1"}
+        for budget, n_chunks in ((1, 16), (harness.ROW_BUDGET, 1)):
+            monkeypatch.setattr(harness, "ROW_BUDGET", budget)
+            chunk_log.clear()
+            assert_same_report(run_simulation(scenario), want)
+            logged = chunks(chunk_log)
+            assert len(logged) == n_chunks
+            for groups, calls in logged:
+                assert {f for _, f in groups} == {"F1"}
+                hours = ngrid_hours(calls)
+                assert set(hours) == f1
+                stepped = hours.popitem()[1]
+                assert stepped == list(range(k, stepped[-1] + 1))
+                assert all(h == stepped for h in hours.values())
+
+    def test_sweep_draws_each_stream_once(self, monkeypatch):
+        """A P-point sweep builds R x F generators, not P x R x F."""
+        built = []
+        real = harness.feeder_rng
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "feeder_rng", counted)
+        scenario = TestChunks.sparse_scenario(5, 4, 2, 6, "full", starts=3.0)
+        sweep_reports(scenario, [1.0, 2.5, 4.0, 6.0])
+        assert sorted(built) == sorted((5, i, f) for i in range(6)
+                                       for f in scenario.fleet.feeders)
 
 
 class TestRunSimulation:
