@@ -11,7 +11,8 @@ or per-hour list), and deferrable tasks. Every fleet number is a JSON number
 profile is a tuple of floats. A key may appear once per YAML mapping or JSON
 object: a repeated one is reported, with its line in YAML (the C decoder in
 ``json`` gives no position for a key). The loaders check form;
-:func:`ngridsim.fleet.validate_fleet` checks values.
+:func:`ngridsim.fleet.validate_fleet` checks values, and
+:func:`load_scenario` reports its problems after the fleet file's name.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import fields
 
 import yaml
 
-from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
+from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit,
+                    validate_fleet)
 from .harness import Scenario
 from .sor import load_sor_table
 from .tables import ValidationError, read_table
@@ -259,7 +261,10 @@ def load_scenario(path) -> Scenario:
     horizon = scalar("horizon", int)
     if horizon < 1:
         raise ValidationError(f"{path}: field 'horizon': must be >= 1, got {horizon}")
-    fleet = load_fleet(resolve("fleet"), resolve("profiles"), horizon)
+    fleet_path = resolve("fleet")
+    fleet = load_fleet(fleet_path, resolve("profiles"), horizon)
+    if problems := validate_fleet(fleet, horizon):
+        raise ValidationError(f"{fleet_path}: " + "; ".join(problems))
     sor = load_sor_table(resolve("sor"))
     derate = None
     if doc.get("derate"):

@@ -135,8 +135,8 @@ def validate_fleet(fleet: Fleet, horizon: int) -> list[str]:
 
         profiles = [("base_load", ng.base_load), ("pv", ng.pv)]
         if ng.hvac is not None:
-            profiles += [("HVAC p_normal_kw", ng.hvac.p_normal_kw),
-                         ("HVAC p_min_kw", ng.hvac.p_min_kw)]
+            profiles += [("hvac p_normal", ng.hvac.p_normal_kw),
+                         ("hvac p_min", ng.hvac.p_min_kw)]
         for name, profile in profiles:
             if len(profile) != horizon:
                 report.append(f"{where} {name} length {len(profile)} != horizon {horizon}")
@@ -148,14 +148,15 @@ def validate_fleet(fleet: Fleet, horizon: int) -> list[str]:
                     report.append(f"{where} HVAC: p_min {p_min} > p_normal {p_normal} "
                                   f"at hour {h}")
 
-        units = [("BESS", ng.bess)] if ng.bess is not None else []
-        units += [(f"EV {i}", ev.battery) for i, ev in enumerate(ng.evs)]
-        for name, unit in units:
+        # Each unit's SoC is named by its fleet-file key.
+        units = [("BESS", "soc0_kwh", ng.bess)] if ng.bess is not None else []
+        units += [(f"EV {i}", "soc_arrival_kwh", ev.battery) for i, ev in enumerate(ng.evs)]
+        for name, soc_key, unit in units:
             for field in ("capacity_kwh", "p_max_kw"):
                 if not _positive(getattr(unit, field)):
                     report.append(f"{where} {name}: {field} must be finite and > 0")
             if not (0.0 <= unit.soc_kwh <= unit.capacity_kwh):
-                report.append(f"{where} {name}: soc_kwh outside [0, capacity_kwh]")
+                report.append(f"{where} {name}: {soc_key} outside [0, capacity_kwh]")
             for field in ("eta_charge", "eta_discharge"):
                 if not (0.0 < getattr(unit, field) <= 1.0):
                     report.append(f"{where} {name}: {field} outside (0, 1]")

@@ -8,7 +8,11 @@ id, so adding feeders or changing the repair time never perturbs another
 feeder's draws. One uniform is drawn per feeder-hour and the Bernoulli
 comparison is applied only while no outage is active, which keeps outage
 *starts* identical across repair-time sweep points; a Monte Carlo pass draws
-each stream once and derives every repair time's outages from it.
+each stream once and derives every repair time's outages from it. The pass
+computes the streams of a block of replications at once (:func:`_uniforms`
+runs ``SeedSequence`` and PCG64 in uint64 array arithmetic, bit for bit the
+draws of ``np.random.default_rng``, whose oracle is ``feeder_rng`` in
+``tests/oracles.py``) and suppresses outages in hour steps over arrays.
 
 A simulation is a sweep of one repair time. A sweep validates once,
 computes the no-outage shadow (the whole fleet grid-tied all day, stepped
@@ -154,38 +158,136 @@ def _seed_words(n: int) -> list[int]:
     return words
 
 
-def feeder_rng(master_seed: int, replication_index: int, feeder_id: str) -> np.random.Generator:
-    """Independent, reproducible stream per (seed, replication, feeder): the
-    stream of ``np.random.default_rng([master_seed, replication_index,
-    crc32(feeder_id)])``, seeded from the same words as a ``uint32`` array,
-    which ``SeedSequence`` takes without converting each int."""
-    tag = zlib.crc32(feeder_id.encode("utf-8"))
-    words = _seed_words(master_seed) + _seed_words(replication_index) + [tag]
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
+# PCG64 multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-def _draw_hits(sor: SorTable, horizon: int, rng_for_feeder) -> list[tuple[int, int]]:
-    """(feeder index, hour) of each feeder-hour whose uniform falls below
-    its SoR, by feeder and then hour; ``rng_for_feeder`` maps a feeder id to
-    its Generator, which draws one uniform per hour."""
-    u = np.array([rng_for_feeder(feeder_id).random(horizon) for feeder_id in sor.feeder_ids])
-    return list(zip(*(a.tolist() for a in np.nonzero(u < sor.probabilities[:, :horizon]))))
+def _mulhi64(x: np.ndarray, c: int) -> np.ndarray:
+    """The high 64 bits of each 128-bit product ``x * c``, by 32-bit halves."""
+    x0, x1, c0, c1 = x & _MASK32, x >> 32, c & _MASK32, c >> 32
+    p01, p10 = x0 * c1, x1 * c0
+    mid = (x0 * c0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _outage_events(feeder_ids: tuple[str, ...], hits: list[tuple[int, int]],
-                   repair_hours: float, horizon: int) -> list[OutageEvent]:
-    """The outages that ``hits`` (as :func:`_draw_hits` gives them) start
-    at this repair time: a hit while its feeder's outage is active starts
-    none."""
-    duration = max(1, math.ceil(repair_hours))
-    events: list[OutageEvent] = []
-    active_until: dict[int, int] = {}
-    for f, h in hits:
-        if h >= active_until.get(f, 0):
-            events.append(OutageEvent(feeder_id=feeder_ids[f], start_hour=h,
-                                      duration_hours=min(duration, horizon - h)))
-            active_until[f] = h + duration
-    return events
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` (mod 2**128) on (high, low) uint64 word pairs."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_doubles(words: np.ndarray, horizon: int) -> np.ndarray:
+    """Uniforms ``(horizon, K)``: column k holds the first ``horizon`` draws
+    of ``np.random.default_rng(words[:, k])``, for ``(n, K)`` uint32 seed
+    words held as uint64. Every step
+    of ``SeedSequence`` and PCG64 runs on all K keys at once, in uint64
+    arithmetic that wraps; the hash constants depend only on a step's
+    position, so they are Python ints."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (x * _MIX_L - y * _MIX_R) & _MASK32
+        return value ^ value >> 16
+
+    # SeedSequence: hash the words into a pool of four, then mix.
+    zero = np.zeros(words.shape[1], dtype=np.uint64)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(words)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian.
+    state = []
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    init_hi, init_lo, seq_hi, seq_lo = (state[2 * k] | state[2 * k + 1] << 32 for k in range(4))
+    # PCG64's srandom sets the state to its increment, adds the initial state
+    # and steps; each draw steps, state = state * multiplier + increment
+    # (mod 2**128), and outputs XSL-RR of the new state.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi, lo = _add128(init_hi, init_lo, inc_hi, inc_lo)
+    states = np.empty((2, horizon, words.shape[1]), dtype=np.uint64)
+    for d in range(-1, horizon):
+        hi, lo = _add128(hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + _mulhi64(lo, _PCG_MULT_LO),
+                         lo * _PCG_MULT_LO, inc_hi, inc_lo)
+        if d >= 0:
+            states[:, d] = hi, lo
+    hi, lo = states
+    x, rot = hi ^ lo, hi >> 58
+    x = x >> rot | x << ((64 - rot) & 63)
+    # numpy's next_double: the top 53 bits over 2**53.
+    return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _uniforms(master_seed: int, indices, feeder_ids, horizon: int) -> np.ndarray:
+    """``(R, F, H)`` uniforms: ``[r, f]`` is the first ``horizon`` draws of
+    ``np.random.default_rng([master_seed, indices[r], crc32(feeder_ids[f])])``,
+    each int split into its 32-bit words as :func:`_seed_words` does.
+    Replications whose index takes the same number of words share a block."""
+    seed = _seed_words(master_seed)
+    tags = np.array([zlib.crc32(f.encode("utf-8")) for f in feeder_ids], dtype=np.uint64)
+    reps = [_seed_words(i) for i in indices]
+    out = np.empty((len(reps), len(tags), horizon))
+    for n in sorted({len(w) for w in reps}):
+        rows = [r for r, w in enumerate(reps) if len(w) == n]
+        words = np.empty((len(seed) + n + 1, len(rows), len(tags)), dtype=np.uint64)
+        words[:len(seed)] = np.array(seed, dtype=np.uint64)[:, None, None]
+        words[len(seed):-1] = np.array([reps[r] for r in rows], dtype=np.uint64).T[..., None]
+        words[-1] = tags
+        out[rows] = _pcg64_doubles(words.reshape(len(words), -1), horizon).reshape(
+            horizon, len(rows), len(tags)).transpose(1, 2, 0)
+    return out
+
+
+def _duration(repair_hours: float) -> int:
+    """An outage's length in whole hours: the repair time rounded up, at
+    least one."""
+    return max(1, math.ceil(repair_hours))
+
+
+def _outages(hits: np.ndarray, durations: list[int], feeder_ids) -> tuple[list, np.ndarray]:
+    """The outages that ``hits`` ``(R, F, H)`` start at each duration: a hit
+    while its feeder's outage is active starts none. Returns the logs
+    ``[p][r]``, in feeder and then hour order, and the islanded hours
+    ``(P, R, F, H)``."""
+    R, F, H = hits.shape
+    starts = np.zeros((len(durations), R, F, H), dtype=bool)
+    until = np.zeros(starts.shape[:3], dtype=np.intp)
+    ends = np.array(durations, dtype=np.intp)[:, None, None]
+    # Only an hour with a hit can start an outage, so only those are stepped.
+    for h in np.flatnonzero(hits.any(axis=(0, 1))).tolist():
+        start = starts[..., h] = hits[..., h] & (until <= h)
+        until = np.where(start, ends + h, until)
+    # An hour is islanded when an outage started less than a duration before.
+    count = np.cumsum(starts, axis=-1)
+    islanded = count > 0
+    for p, d in enumerate(durations):
+        islanded[p, ..., d:] = count[p, ..., d:] > count[p, ..., :-d]
+    logs = [[[] for _ in range(R)] for _ in durations]
+    at = np.nonzero(starts)
+    lengths = np.minimum(ends.ravel()[at[0]], H - at[3])  # cut at the horizon
+    for p, r, f, h, n in zip(*(a.tolist() for a in (*at, lengths))):
+        logs[p][r].append(OutageEvent(feeder_ids[f], h, n))
+    return logs, islanded
 
 
 def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
@@ -194,17 +296,9 @@ def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
     ``rng_for_feeder`` maps a feeder id to its Generator. One uniform is
     drawn for every hour up front, so the set of potential start hours
     does not depend on the repair duration."""
-    return _outage_events(sor.feeder_ids, _draw_hits(sor, horizon, rng_for_feeder),
-                          repair_hours, horizon)
-
-
-def islanded_masks(events: list[OutageEvent], horizon: int) -> list[tuple[str, np.ndarray]]:
-    """(feeder id, islanded hours) per disturbed feeder, in feeder id order."""
-    masks: dict[str, np.ndarray] = {}
-    for ev in events:
-        masks.setdefault(ev.feeder_id, np.zeros(horizon, dtype=bool))[
-            ev.start_hour:ev.start_hour + ev.duration_hours] = True
-    return sorted(masks.items())
+    u = np.array([rng_for_feeder(f).random(horizon) for f in sor.feeder_ids])
+    hits = u < sor.probabilities[:, :horizon]
+    return _outages(hits[None], [_duration(repair_hours)], sor.feeder_ids)[0][0][0]
 
 
 @dataclass
@@ -228,6 +322,10 @@ class _Shadow:
 # many rows, each group counting its feeder's rows even when it shares a
 # pattern, so a kernel call holds fewer than it plus the largest feeder's.
 ROW_BUDGET = 32768
+
+# A pass draws its uniforms for this many (replication, feeder) streams at a
+# time, at least one replication, so the ``(R, F, H)`` draw stays a few MB.
+DRAW_BLOCK = 2048
 
 
 def _fold(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -354,27 +452,36 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
                  indices) -> tuple[np.ndarray, list[list[list[OutageEvent]]]]:
     """Series ``(P, R, 8, H)``, each ``[p, r]`` as ``_Shadow.baseline``, and
     outage logs ``[p][r]`` for repair time ``repair_values[p]`` and
-    replication ``indices[r]``. Replications go in order, each drawing its
-    feeders' uniforms once for every repair time, and all their groups
-    queue into the same chunks."""
+    replication ``indices[r]``. Replications go in blocks of about
+    ``DRAW_BLOCK`` streams, each drawing its uniforms once for every repair
+    time, and all their groups queue into the same chunks in (replication,
+    repair time, feeder id) order."""
     H = scenario.horizon
+    feeder_ids = scenario.sor.feeder_ids
+    durations = [_duration(value) for value in repair_values]
     series = np.tile(shadow.baseline, (len(repair_values), len(indices), 1, 1))
     logs = [[] for _ in repair_values]
     chunk, queued = [], 0
-    for r, i in enumerate(indices):
-        hits = _draw_hits(scenario.sor, H, lambda fid: feeder_rng(scenario.master_seed, i, fid))
-        for p, value in enumerate(repair_values):
-            events = _outage_events(scenario.sor.feeder_ids, hits, value, H)
-            logs[p].append(events)
-            for feeder_id, mask in islanded_masks(events, H):
-                # Islanded n-Grids deliver no ramp-up or ramp-down capacity
-                # (rows 5 and 7): the total series keep their contribution.
-                series[p, r, 5::2] -= np.where(mask, shadow.totals[feeder_id][2:], 0.0)
-                chunk.append((np.ravel_multi_index((p, r, 0, 0), series.shape), feeder_id, mask))
-                queued += len(shadow.feeder_rows[feeder_id])
-                if queued >= ROW_BUDGET:
-                    _step_chunk(shadow, series, chunk)
-                    chunk, queued = [], 0
+    block = max(1, DRAW_BLOCK // len(feeder_ids))
+    for r0 in range(0, len(indices), block):
+        hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
+                         H) < scenario.sor.probabilities[:, :H]
+        block_logs, islanded = _outages(hits, durations, feeder_ids)
+        disturbed = islanded.any(axis=-1)
+        for p, ramps in enumerate(series[:, r0:r0 + len(hits), 5::2]):
+            logs[p] += block_logs[p]
+            # Islanded n-Grids deliver no ramp-up or ramp-down capacity
+            # (rows 5 and 7): the total series keep their contribution. An
+            # undisturbed replication subtracts 0.0, which keeps every bit.
+            for f in np.flatnonzero(disturbed[p].any(axis=0)).tolist():
+                ramps -= np.where(islanded[p, :, f, None], shadow.totals[feeder_ids[f]][2:], 0.0)
+        for r, p, f in zip(*(a.tolist() for a in np.nonzero(disturbed.transpose(1, 0, 2)))):
+            chunk.append((np.ravel_multi_index((p, r0 + r, 0, 0), series.shape),
+                          feeder_ids[f], islanded[p, r, f]))
+            queued += len(shadow.feeder_rows[feeder_ids[f]])
+            if queued >= ROW_BUDGET:
+                _step_chunk(shadow, series, chunk)
+                chunk, queued = [], 0
     if chunk:
         _step_chunk(shadow, series, chunk)
     return series, logs

@@ -2,19 +2,21 @@
 
 These deliberately avoid the library's algorithms: ROC AUC by explicit pair
 counting, average precision by explicit threshold sweeps, power balance
-recomputed from the outcome fields alone, outage sampling as a scan over
-every feeder-hour, and a replication that re-dispatches every disturbed
-n-Grid from hour 0 instead of resuming from the shadow.
+recomputed from the outcome fields alone, each outage stream from its own
+``np.random.default_rng``, outage sampling as a scan over every
+feeder-hour, and a replication that re-dispatches every disturbed n-Grid
+from hour 0 instead of resuming from the shadow.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
-                              SimulationReport, feeder_rng, sample_outages)
+                              SimulationReport, sample_outages)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step)
 
@@ -57,6 +59,14 @@ def power_balance_residual(outcome):
     return supply - use
 
 
+def feeder_rng(master_seed, replication_index, feeder_id):
+    """The stream of one (seed, replication, feeder), as ``harness._uniforms``
+    draws it for a whole pass: ``np.random.default_rng([master_seed,
+    replication_index, crc32(feeder_id)])``."""
+    tag = zlib.crc32(feeder_id.encode("utf-8"))
+    return np.random.default_rng([master_seed, replication_index, tag])
+
+
 def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
     """``harness.sample_outages`` as a scan over every feeder-hour, with one
     table lookup per hour and the suppression test before the draw."""
@@ -75,6 +85,15 @@ def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
     return events
 
 
+def islanded_masks(events, horizon):
+    """(feeder id, islanded hours) per disturbed feeder, in feeder id order."""
+    masks = {}
+    for ev in events:
+        masks.setdefault(ev.feeder_id, np.zeros(horizon, dtype=bool))[
+            ev.start_hour:ev.start_hour + ev.duration_hours] = True
+    return sorted(masks.items())
+
+
 def replication_from_hour0(scenario, replication_index, shadow):
     """One replication with every n-Grid on a disturbed feeder dispatched
     from its initial state through every hour; returns (series, events) like
@@ -91,13 +110,8 @@ def replication_from_hour0(scenario, replication_index, shadow):
     series = FleetSeries(*shadow.baseline.copy())
 
     policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
-    disturbed = sorted({ev.feeder_id for ev in events})
-    for feeder_id in disturbed:
+    for feeder_id, mask in islanded_masks(events, H):
         load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
-        mask = np.zeros(H, dtype=bool)
-        for ev in events:
-            if ev.feeder_id == feeder_id:
-                mask[ev.start_hour:ev.start_hour + ev.duration_hours] = True
         series.ru_avail_kw -= np.where(mask, ru_kw, 0.0)
         series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
         feeder_load, ens, spilled = np.zeros((3, H))

@@ -15,7 +15,7 @@ import pytest
 from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
 from ngridsim.fleet import Fleet, NGrid, StorageUnit
-from ngridsim.harness import (Scenario, feeder_rng, run_replication,
+from ngridsim.harness import (Scenario, run_replication,
                               run_simulation, sample_outages, sweep_reports)
 from ngridsim.metrics import LabeledScore, final_metric, prc_auc, roc_auc
 from ngridsim.sor import (FeatureRow, SorTable, evaluate, train,
@@ -23,7 +23,7 @@ from ngridsim.sor import (FeatureRow, SorTable, evaluate, train,
 
 from fuzzing import (check_islanded_invariants, random_islanded_case,
                      snapshot_pre_dispatch)
-from oracles import prc_auc_steps, roc_auc_pairs
+from oracles import feeder_rng, prc_auc_steps, roc_auc_pairs
 from scalar_dispatch import islanded_step
 
 H = 24

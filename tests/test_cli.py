@@ -10,9 +10,9 @@ import pytest
 from fuzzing import random_fleet
 from ngridsim import casestudy, harness
 from ngridsim.cli import main
-from ngridsim.config import load_scenario, parse_plug_hours
+from ngridsim.config import load_fleet, load_scenario, parse_plug_hours
 from ngridsim.dispatch import FleetArrays
-from ngridsim.fleet import Fleet
+from ngridsim.fleet import Fleet, validate_fleet
 from ngridsim.harness import Scenario, ValidationError, validate_scenario
 from ngridsim.sor import SorTable
 
@@ -326,12 +326,12 @@ class TestLoaderErrors:
         (root / "fleet.json").write_text(
             '{"feeders": [{"id": "F1", "ngrids": [{"id": "N1"}]},\n'
             '             {"id": "F1", "ngrids": [{"id": "N2"}]}]}\n')
-        loaded = load_scenario(scenario)
-        assert [ng.id for ng in loaded.fleet.ngrids] == ["N1", "N2"]
-        assert validate_scenario(loaded) == ["duplicate feeder id 'F1'"]
+        fleet = load_fleet(root / "fleet.json", root / "profiles.csv", H)
+        assert [ng.id for ng in fleet.ngrids] == ["N1", "N2"]
+        assert validate_fleet(fleet, H) == ["duplicate feeder id 'F1'"]
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert err == "validation error: duplicate feeder id 'F1'\n"
+        assert err == f"validation error: {root / 'fleet.json'}: duplicate feeder id 'F1'\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new, named", [
@@ -365,7 +365,7 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("old, new, named", [
         ('"p_normal": 1.0', '"p_normal": Infinity',
-         "HVAC p_normal_kw has negative or non-finite values"),
+         "hvac p_normal has negative or non-finite values"),
         ('"p_max_kw": 5.0', '"p_max_kw": Infinity', "BESS: p_max_kw must be finite and > 0"),
         ('"capacity_kwh": 10.0', '"capacity_kwh": Infinity',
          "BESS: capacity_kwh must be finite and > 0"),
@@ -374,14 +374,33 @@ class TestLoaderErrors:
          "task 0: energy_kwh must be finite and > 0"),
     ], ids=["hvac-p-normal", "bess-p-max", "bess-capacity", "task-power", "task-energy"])
     def test_non_finite_fleet_number(self, tmp_path, capsys, old, new, named):
-        """An infinite number in the fleet file is named by its field before
-        any dispatch, instead of running to infinite or wrong series."""
+        """An infinite number in the fleet file is named with its file and
+        key before any dispatch, instead of running to infinite or wrong
+        series."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
         fleet = scenario.parent / "fleet.json"
         fleet.write_text(fleet.read_text().replace(old, new, 1))
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert err == f"validation error: n-Grid 'N1' {named}\n"
+        assert err == f"validation error: {fleet}: n-Grid 'N1' {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new, named", [
+        ('"plug_hours": "0-6,19-23"', '"plug_hours": "0-6,19-30"',
+         "EV 0: plug hour outside horizon"),
+        ('"soc0_kwh": 10.0', '"soc0_kwh": 99', "BESS: soc0_kwh outside [0, capacity_kwh]"),
+        ('"soc_arrival_kwh": 30.0', '"soc_arrival_kwh": 999',
+         "EV 0: soc_arrival_kwh outside [0, capacity_kwh]"),
+    ], ids=["plug-hour", "bess-soc", "ev-soc"])
+    def test_fleet_value_named_with_file(self, tmp_path, capsys, old, new, named):
+        """A fleet value out of range is named with the fleet file and the
+        key the file gives it."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.json"
+        fleet.write_text(fleet.read_text().replace(old, new, 1))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: {fleet}: n-Grid 'N1' {named}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, old, new, problem", [

@@ -60,7 +60,7 @@ class TestValidateFleet:
                         deferrables=(DeferrableTask(2.0, 1.0, 10, 30),))
         fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         report = validate_fleet(fleet, H)
-        assert any("soc_kwh" in v for v in report)
+        assert any("soc0_kwh" in v for v in report)
         assert any("window" in v for v in report)
 
     def test_non_finite_numbers_named(self):
@@ -72,11 +72,11 @@ class TestValidateFleet:
                         deferrables=(DeferrableTask(math.inf, math.nan, 9, 16),))
         assert validate_fleet(Fleet(("F1",), (ng,)), H) == [
             "n-Grid 'N1' pv has negative or non-finite values",
-            "n-Grid 'N1' HVAC p_min_kw length 23 != horizon 24",
-            "n-Grid 'N1' HVAC p_min_kw has negative or non-finite values",
+            "n-Grid 'N1' hvac p_min length 23 != horizon 24",
+            "n-Grid 'N1' hvac p_min has negative or non-finite values",
             "n-Grid 'N1' BESS: capacity_kwh must be finite and > 0",
             "n-Grid 'N1' BESS: p_max_kw must be finite and > 0",
-            "n-Grid 'N1' EV 0: soc_kwh outside [0, capacity_kwh]",
+            "n-Grid 'N1' EV 0: soc_arrival_kwh outside [0, capacity_kwh]",
             "n-Grid 'N1' task 0: energy_kwh must be finite and > 0",
             "n-Grid 'N1' task 0: power_kw must be finite and > 0",
         ]

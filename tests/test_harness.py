@@ -1,9 +1,13 @@
 import filecmp
 import math
+import os
 import random
+import subprocess
+import sys
 import threading
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +20,11 @@ from ngridsim.config import load_scenario
 from ngridsim.fleet import Fleet, NGrid, StorageUnit, validate_fleet
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
-                              emit_report, feeder_rng, islanded_masks,
-                              run_replication, run_simulation, sample_outages,
-                              sweep_reports, validate_scenario)
+                              emit_report, run_replication, run_simulation,
+                              sample_outages, sweep_reports, validate_scenario)
 from ngridsim.sor import SorTable
-from oracles import (replication_from_hour0, sample_outages_scan,
-                     simulation_from_hour0)
+from oracles import (feeder_rng, islanded_masks, replication_from_hour0,
+                     sample_outages_scan, simulation_from_hour0)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step, ramp_capacity)
 from test_cli import write_tiny_bundle
@@ -43,6 +46,11 @@ def single_ngrid_scenario(load=2.0, pv=0.0, bess=None, sor=None, **kw):
     if sor is None:
         sor = flat_sor(["F1"])
     return Scenario(fleet=fleet, sor=sor, horizon=H, **kw)
+
+
+def seed_words(n):
+    """``n``'s little-endian 32-bit words, as ``SeedSequence`` splits an int."""
+    return [(n >> 32 * k) & 0xFFFFFFFF for k in range(max(1, -(-n.bit_length() // 32)))]
 
 
 class TestSampleOutages:
@@ -112,16 +120,71 @@ class TestSampleOutages:
     @pytest.mark.parametrize("seed, rep", [
         (0, 0), (2**32 - 1, 3), (2**32, 3), (2**64 + 5, 3), (7, 2**33 + 1)])
     def test_stream_of_python_int_seed(self, seed, rep):
-        """Seeding from words gives the stream of the Python-int list, also
-        for values that take more than one 32-bit word."""
-        for feeder_id in ("F1", "feeder-7"):
-            want = np.random.default_rng([seed, rep, zlib.crc32(feeder_id.encode("utf-8"))])
-            got = feeder_rng(seed, rep, feeder_id)
-            assert got.random(48).tobytes() == want.random(48).tobytes()
+        """The pass's drawer gives the stream of the Python-int list, and of
+        its 32-bit words, also for values that take more than one word (a
+        five-word key runs ``SeedSequence``'s pool overflow)."""
+        feeder_ids = ("F1", "feeder-7")
+        got = harness._uniforms(seed, [rep], feeder_ids, 48)
+        for f, feeder_id in enumerate(feeder_ids):
+            key = [seed, rep, zlib.crc32(feeder_id.encode("utf-8"))]
+            want = np.random.default_rng(key).random(48)
+            assert got[0, f].tobytes() == want.tobytes()
+            words = np.array([w for n in key for w in seed_words(n)], dtype=np.uint32)
+            assert got[0, f].tobytes() == np.random.default_rng(words).random(48).tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
-            feeder_rng(-1, 0, "F1")
+            harness._uniforms(-1, [0], ("F1",), H)
+        with pytest.raises(ValueError):
+            harness._uniforms(0, [-1], ("F1",), H)
+
+    @pytest.mark.parametrize("horizon", [1, 48])
+    def test_uniforms_mixed_word_counts(self, horizon):
+        """One call whose replications take one and two 32-bit words: every
+        stream equals its own Generator's, in the caller's order."""
+        indices = [0, 2**32 + 3, 5, 2**40 + 1, 2**32 - 1]
+        feeder_ids = ("F1", "feeder-7", "x")
+        got = harness._uniforms(20230223, indices, feeder_ids, horizon)
+        assert got.shape == (len(indices), len(feeder_ids), horizon)
+        for r, i in enumerate(indices):
+            for f, feeder_id in enumerate(feeder_ids):
+                want = feeder_rng(20230223, i, feeder_id).random(horizon)
+                assert got[r, f].tobytes() == want.tobytes(), (i, feeder_id)
+
+    def test_uniforms_no_feeders(self):
+        assert harness._uniforms(3, range(4), (), H).shape == (4, 0, H)
+
+    def test_pass_matches_scan_oracle(self):
+        """A pass's outages for several repair times and replications at
+        once equal the scan over every feeder-hour of each, event by event,
+        and its islanded hours cover exactly those events' hours."""
+        rng = random.Random("pass-outages")
+        seen_hour_23 = False
+        for case in range(30):
+            feeders = [f"F{k}" for k in rng.sample(range(20), rng.randint(1, 5))]
+            entries = {(f, h): rng.choice([0.0, 1.0, 0.5 * rng.random()])
+                       for f in feeders for h in range(H)}
+            if case % 3 == 0:  # the first feeder fails at hour 23 only
+                entries.update({(feeders[0], h): float(h == H - 1) for h in range(H)})
+            sor = SorTable(entries)
+            repairs = sorted(rng.uniform(0.5, 6.0) for _ in range(3))
+            indices = rng.sample(range(1000), 4)
+            for horizon in (H, rng.randint(1, H - 1)):
+                hits = harness._uniforms(case, indices, sor.feeder_ids, horizon) \
+                    < sor.probabilities[:, :horizon]
+                logs, islanded = harness._outages(
+                    hits, [max(1, math.ceil(v)) for v in repairs], sor.feeder_ids)
+                for p, repair in enumerate(repairs):
+                    for r, i in enumerate(indices):
+                        want = sample_outages_scan(sor, repair, horizon,
+                                                   self.rng_factory(case, i))
+                        assert logs[p][r] == want, (case, repair, i, horizon)
+                        masks = dict(islanded_masks(want, horizon))
+                        for f, feeder_id in enumerate(sor.feeder_ids):
+                            assert islanded[p, r, f].tolist() == masks.get(
+                                feeder_id, np.zeros(horizon, dtype=bool)).tolist()
+                        seen_hour_23 |= any(ev.start_hour == H - 1 for ev in want)
+        assert seen_hour_23
 
     def test_empirical_frequency(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 0.3})
@@ -606,20 +669,58 @@ class TestSharing:
                 assert stepped == list(range(k, stepped[-1] + 1))
                 assert all(h == stepped for h in hours.values())
 
+    def test_draw_block_changes_no_bit(self, monkeypatch):
+        """Drawing one replication at a time, or a few, gives the report of
+        one draw for the whole pass, by bytes."""
+        scenario = TestChunks.sparse_scenario(4, 4, 2, 10, "sor", starts=3.0)
+        values = [1.0, 2.5, 4.0]
+        want = sweep_reports(scenario, values)
+        for block in (1, 9):
+            monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+            got = sweep_reports(scenario, values)
+            for (_, a), (_, b) in zip(got, want):
+                assert_same_report(a, b)
+
     def test_sweep_draws_each_stream_once(self, monkeypatch):
-        """A P-point sweep builds R x F generators, not P x R x F."""
-        built = []
-        real = harness.feeder_rng
+        """A P-point sweep draws each of its R x F streams once, not P
+        times."""
+        drawn = []
+        real = harness._uniforms
 
-        def counted(*args):
-            built.append(args)
-            return real(*args)
+        def counted(seed, indices, feeder_ids, horizon):
+            drawn.extend((seed, i, f) for i in indices for f in feeder_ids)
+            return real(seed, indices, feeder_ids, horizon)
 
-        monkeypatch.setattr(harness, "feeder_rng", counted)
+        monkeypatch.setattr(harness, "_uniforms", counted)
         scenario = TestChunks.sparse_scenario(5, 4, 2, 6, "full", starts=3.0)
         sweep_reports(scenario, [1.0, 2.5, 4.0, 6.0])
-        assert sorted(built) == sorted((5, i, f) for i in range(6)
+        assert sorted(drawn) == sorted((5, i, f) for i in range(6)
                                        for f in scenario.fleet.feeders)
+
+
+def test_simulate_leaves_numpy_random_unloaded(tmp_path):
+    """A ``simulate`` run draws its outages without ``numpy.random``, whose
+    first use costs a fresh process a lazy import. numpy 1.x imports it
+    with ``numpy`` itself, and there this test checks nothing."""
+    scenario = write_tiny_bundle(tmp_path / "tiny")
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from ngridsim.cli import main\n"
+        f"code = main(['simulate', '--scenario', {str(scenario)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, eager, 'numpy.random' in sys.modules)\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, eager, loaded = run.stdout.split()[-3:]
+    assert code == "0"
+    if eager == "False":
+        assert loaded == "False"
 
 
 class TestRunSimulation:
