@@ -48,6 +48,21 @@ def _hour(value, name: str) -> int:
     return value
 
 
+def _integer(value) -> int:
+    """A scenario count or seed: a YAML integer, not 2.7, 2.0, yes or "3"."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _hours(value) -> float:
+    """A scenario duration: a YAML number or a string ``float`` reads, such
+    as ``1e3`` (YAML 1.1 reads a float with no dot as a string); not a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_plug_hours(spec) -> set[int]:
     """``"0-6,19-23"`` (or a list of ints) -> set of hour indices."""
     if isinstance(spec, (list, tuple)):
@@ -258,7 +273,7 @@ def load_scenario(path) -> Scenario:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: field {key!r}: {exc}") from None
 
-    horizon = scalar("horizon", int)
+    horizon = scalar("horizon", _integer)
     if horizon < 1:
         raise ValidationError(f"{path}: field 'horizon': must be >= 1, got {horizon}")
     fleet_path = resolve("fleet")
@@ -273,10 +288,10 @@ def load_scenario(path) -> Scenario:
         fleet=fleet,
         sor=sor,
         horizon=horizon,
-        repair_hours=scalar("repair_hours", float),
-        replications=scalar("replications", int),
-        master_seed=scalar("seed", int, "master_seed"),
-        sr_delivery_hours=scalar("sr_delivery_hours", float),
+        repair_hours=scalar("repair_hours", _hours),
+        replications=scalar("replications", _integer),
+        master_seed=scalar("seed", _integer, "master_seed"),
+        sr_delivery_hours=scalar("sr_delivery_hours", _hours),
         derate=derate,
         precharge=scalar("precharge", str),
     )

@@ -17,23 +17,24 @@ draws of ``np.random.default_rng``, whose oracle is ``feeder_rng`` in
 A simulation is a sweep of one repair time. A sweep validates once,
 computes the no-outage shadow (the whole fleet grid-tied all day, stepped
 as one block by :func:`ngridsim.dispatch.step`) once, and runs one Monte
-Carlo pass for all its points. Each feeder with an outage at a repair time
-in a replication is a group of rows, one per n-Grid on it; the groups of
-every point and replication queue into the same chunks of ``ROW_BUDGET``
-rows. A feeder's dispatch depends only on its own islanded hours, so a
-chunk steps each distinct (feeder, islanded hours) pattern once, whatever
-the number of its groups. A pattern's rows join the chunk's live rows from
-the shadow's states at its first outage hour and, after its last islanded
-hour, leave them once every row's state equals the shadow's after a
-connected hour, as connected dispatch then repeats the shadow. The live
-rows are stepped hour by hour with at most two kernel calls an hour, one
-on the islanded rows and one on the connected rows.
-A replication's series is the shadow's baseline plus, at each hour a group
-is stepped, its pattern's load, ENS and spill summed over the feeder's
-n-Grids in fleet order from 0.0, less the shadow's feeder totals; groups
-add in queue order (replication, then feeder id), and islanded hours lose
-the feeder's ramp. So results are bit-identical to a from-hour-0
-re-dispatch summed by the same rule, whatever the chunks.
+Carlo pass for all its points. A feeder's dispatch depends only on its own
+islanded hours, so each distinct (feeder, islanded hours) pattern has one
+per-hour change to the fleet series, whatever replication or repair time
+it comes from; the pass keeps one table of them and steps each pattern
+once. New patterns are stepped in batches that close at the pattern that
+brings their rows (one per n-Grid on the feeder) to ``ROW_BUDGET``. A
+pattern's rows join the batch's live rows from the shadow's states at its
+first outage hour and, after its last islanded hour, leave them once
+every row's state equals the shadow's after a connected hour, as
+connected dispatch then repeats the shadow. The live rows are stepped
+hour by hour with at most two kernel calls an hour, one on the islanded
+rows and one on the connected rows. A pattern's change is, at each hour
+it is stepped, its load, ENS and spill summed over the feeder's n-Grids in
+fleet order from 0.0, less the shadow's feeder totals; and at islanded
+hours, minus the feeder's ramp. A replication's series is the shadow's
+baseline plus each disturbed feeder's change in feeder order. A change of
+0.0 keeps every bit, so results are bit-identical to a from-hour-0
+re-dispatch summed by the same rule, whatever the batches.
 """
 
 from __future__ import annotations
@@ -318,9 +319,8 @@ class _Shadow:
     baseline: np.ndarray
 
 
-# A chunk takes (replication, disturbed feeder) groups until it holds this
-# many rows, each group counting its feeder's rows even when it shares a
-# pattern, so a kernel call holds fewer than it plus the largest feeder's.
+# A batch of new patterns closes at the pattern that brings its rows to this
+# many, so a kernel call holds fewer than it plus the largest feeder's.
 ROW_BUDGET = 32768
 
 # A pass draws its uniforms for this many (replication, feeder) streams at a
@@ -379,32 +379,24 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     return _Shadow(arrays, frac, states, feeder_rows, totals, baseline)
 
 
-def _step_chunk(shadow: _Shadow, series: np.ndarray, chunk: list) -> None:
-    """Step the (series offset, disturbed feeder, islanded hours) groups of
-    ``chunk`` as the module docstring describes: each distinct pattern once,
-    on live rows only. An offset is the flat index of a series' first
-    element in ``series``."""
+def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
+    """The change ``(K, 5, H)`` each (feeder id, islanded hours) pattern of
+    ``patterns`` makes to series rows load, ENS, spill, ``ru_avail`` and
+    ``rd_avail`` (rows 0, 2, 3, 5 and 7), stepped as the module docstring
+    describes, on live rows only."""
     H = len(shadow.frac)
-    index, patterns, of_group = {}, [], []
-    for _, feeder, mask in chunk:
-        key = (feeder, mask.tobytes())
-        if key not in index:
-            index[key] = len(patterns)
-            patterns.append((feeder, mask))
-        of_group.append(index[key])
-    of_group = np.array(of_group, dtype=np.intp)
     rows = [shadow.feeder_rows[f] for f, _ in patterns]
     masks = np.array([mask for _, mask in patterns])
-    load = np.array([shadow.totals[f][0] for f, _ in patterns])
-    # The flat index of each group's load, ENS and spill at hour 0.
-    at = np.array([offset for offset, _, _ in chunk]) + np.array([[0], [2 * H], [3 * H]])
+    totals = np.array([shadow.totals[f] for f, _ in patterns])
+    change = np.zeros((len(patterns), 5, H))
+    # Islanded n-Grids deliver no ramp-up or ramp-down capacity.
+    change[:, 3:] = np.where(masks[:, None], -totals[:, 2:], 0.0)
     first, last = masks.argmax(axis=1), H - 1 - masks[:, ::-1].argmax(axis=1)
     # The live rows: every started, unfinished pattern's n-Grids, each
     # pattern's together and in fleet order, with their fleet row and pattern.
     idx, pattern = np.empty((2, 0), dtype=np.intp)
     state = FleetState(*(a[0, :0] for a in shadow.states))
     done = np.zeros(len(patterns), dtype=bool)
-    adds_at, adds = [], []
     for h in range(int(first.min()), H):
         if (starting := np.flatnonzero(first == h)).size:
             joining = np.concatenate([rows[k] for k in starting])
@@ -423,12 +415,11 @@ def _step_chunk(shadow: _Shadow, series: np.ndarray, chunk: list) -> None:
                     a[sel] = b
                 now[:, sel] = flows.served + flows.ens, flows.ens, flows.spilled
         # Each stepped pattern's rows summed from 0.0 in fleet order, less the
-        # shadow's feeder load (its ENS and spill are 0), for each of its groups.
-        change = np.array([np.bincount(pattern, w, len(patterns)) for w in now], float)
-        change[0] -= load[:, h]
-        stepped = np.flatnonzero(((first <= h) & ~done)[of_group])
-        adds_at.append(at[:, stepped] + h)
-        adds.append(change[:, of_group[stepped]])
+        # shadow's feeder load (its ENS and spill are 0).
+        stepped = np.flatnonzero((first <= h) & ~done)
+        sums = np.array([np.bincount(pattern, w, len(patterns)) for w in now], float)
+        sums[0] -= totals[:, 0, h]
+        change[stepped, :3, h] = sums[:, stepped].T
         check = np.flatnonzero(last[pattern] < h)
         same = (state.bess[check] == shadow.states.bess[h + 1].take(idx[check])) & (
             (state.ev[check] == shadow.states.ev[h + 1].take(idx[check], 0)).all(axis=1)) & (
@@ -443,9 +434,7 @@ def _step_chunk(shadow: _Shadow, series: np.ndarray, chunk: list) -> None:
             state = FleetState(*(a[keep] for a in state))
             if done.all():
                 break
-    # Every element's adds in hour order, and within an hour in queue order.
-    np.add.at(series.reshape(-1), np.concatenate(adds_at, axis=1),
-              np.concatenate(adds, axis=1))
+    return change
 
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
@@ -454,36 +443,45 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     outage logs ``[p][r]`` for repair time ``repair_values[p]`` and
     replication ``indices[r]``. Replications go in blocks of about
     ``DRAW_BLOCK`` streams, each drawing its uniforms once for every repair
-    time, and all their groups queue into the same chunks in (replication,
-    repair time, feeder id) order."""
+    time; a block steps the patterns the pass has not met yet, in
+    (replication, repair time, feeder) order, then adds every disturbed
+    feeder's change in feeder order."""
     H = scenario.horizon
     feeder_ids = scenario.sor.feeder_ids
     durations = [_duration(value) for value in repair_values]
     series = np.tile(shadow.baseline, (len(repair_values), len(indices), 1, 1))
     logs = [[] for _ in repair_values]
-    chunk, queued = [], 0
+    # The pass's pattern ids by (feeder index, islanded hours), and each id's
+    # change to series rows 0, 2, 3, 5 and 7; id 0, no outage, changes none.
+    pattern_ids, table = {}, np.zeros((1, 5, H))
     block = max(1, DRAW_BLOCK // len(feeder_ids))
     for r0 in range(0, len(indices), block):
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
                          H) < scenario.sor.probabilities[:, :H]
         block_logs, islanded = _outages(hits, durations, feeder_ids)
-        disturbed = islanded.any(axis=-1)
-        for p, ramps in enumerate(series[:, r0:r0 + len(hits), 5::2]):
-            logs[p] += block_logs[p]
-            # Islanded n-Grids deliver no ramp-up or ramp-down capacity
-            # (rows 5 and 7): the total series keep their contribution. An
-            # undisturbed replication subtracts 0.0, which keeps every bit.
-            for f in np.flatnonzero(disturbed[p].any(axis=0)).tolist():
-                ramps -= np.where(islanded[p, :, f, None], shadow.totals[feeder_ids[f]][2:], 0.0)
-        for r, p, f in zip(*(a.tolist() for a in np.nonzero(disturbed.transpose(1, 0, 2)))):
-            chunk.append((np.ravel_multi_index((p, r0 + r, 0, 0), series.shape),
-                          feeder_ids[f], islanded[p, r, f]))
-            queued += len(shadow.feeder_rows[feeder_ids[f]])
-            if queued >= ROW_BUDGET:
-                _step_chunk(shadow, series, chunk)
-                chunk, queued = [], 0
-    if chunk:
-        _step_chunk(shadow, series, chunk)
+        for p, block_log in enumerate(block_logs):
+            logs[p] += block_log
+        ids = np.zeros(islanded.shape[:3], dtype=np.intp)
+        batches, batch, queued = [table], [], 0
+        for r, p, f in zip(*(a.tolist() for a in np.nonzero(
+                islanded.any(axis=-1).transpose(1, 0, 2)))):
+            key = (f, islanded[p, r, f].tobytes())
+            if key not in pattern_ids:
+                pattern_ids[key] = len(pattern_ids) + 1
+                batch.append((feeder_ids[f], islanded[p, r, f]))
+                queued += len(shadow.feeder_rows[feeder_ids[f]])
+                if queued >= ROW_BUDGET:
+                    batches.append(_step_patterns(shadow, batch))
+                    batch, queued = [], 0
+            ids[p, r, f] = pattern_ids[key]
+        if batch:
+            batches.append(_step_patterns(shadow, batch))
+        table = np.concatenate(batches)
+        # Adding a change of 0.0 keeps every bit, so each element is the
+        # baseline plus each disturbed feeder's change in feeder order.
+        runs = series[:, r0:r0 + len(hits)]
+        for f in np.flatnonzero(ids.any(axis=(0, 1))).tolist():
+            runs[:, :, [0, 2, 3, 5, 7]] += table[ids[:, :, f]]
     return series, logs
 
 
@@ -522,7 +520,7 @@ def run_replication(scenario: Scenario,
 def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
     """The scenario's report: a sweep of its own repair time alone.
     ``workers`` is accepted for compatibility and ignored: replications run
-    serially, in chunks."""
+    serially."""
     return sweep_reports(scenario, [scenario.repair_hours])[0][1]
 
 

@@ -268,6 +268,34 @@ class TestLoaderErrors:
         assert code == 1
         assert "repair_hours" in err and "finite" in err
 
+    @pytest.mark.parametrize("old, new, field, got", [
+        ("seed: 7", "seed: 7\nhorizon: 24.9", "horizon", "24.9"),
+        ("replications: 3", "replications: 2.7", "replications", "2.7"),
+        ("replications: 3", "replications: yes", "replications", "True"),
+        ("seed: 7", "seed: true", "seed", "True"),
+        ("repair_hours: 1.0", "repair_hours: true", "repair_hours", "True"),
+        ("seed: 7", "seed: 7\nsr_delivery_hours: yes", "sr_delivery_hours", "True"),
+    ], ids=["horizon-float", "replications-float", "replications-bool", "seed-bool",
+            "repair_hours-bool", "sr_delivery_hours-bool"])
+    def test_scalar_of_wrong_type(self, tmp_path, capsys, old, new, field, got):
+        """A count, seed or duration YAML reads as the wrong type is refused,
+        not truncated or read as 1."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace(old, new))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "scenario.yaml" in err and f"field {field!r}" in err and got in err
+        assert not (tmp_path / "out").exists()
+
+    def test_duration_as_exponent_string(self, tmp_path):
+        """YAML 1.1 reads ``1e3`` as a string; as a duration it is 1000 hours."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text().replace("repair_hours: 1.0", "repair_hours: 1e3")
+                            + "sr_delivery_hours: 5e-1\n")
+        loaded = load_scenario(scenario)
+        assert (loaded.repair_hours, loaded.sr_delivery_hours) == (1000.0, 0.5)
+
     SIMULATE = ["simulate", "--scenario", "{root}/scenario.yaml", "--out", "{root}/out"]
 
     @pytest.mark.parametrize("fault", ["non-numeric cell", "short row", "extra cell"])

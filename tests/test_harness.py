@@ -265,7 +265,7 @@ class TestRunReplication:
                 assert series.ru_avail_kw[h] == series.ru_total_kw[h]
 
     def test_feeder_without_ngrids(self):
-        """A feeder with no n-Grids can fail, alone in a chunk or with
+        """A feeder with no n-Grids can fail, alone in a batch or with
         others, and its outages change no series."""
         ng = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
                    pv=(0.5,) * H, bess=StorageUnit(5.0, 1.0, 5.0))
@@ -515,36 +515,40 @@ def assert_same_report(got, want):
 
 
 @pytest.fixture
-def chunk_log(monkeypatch, step_log):
-    """``step_log`` with a ("chunk", groups) entry before the kernel steps
-    of each chunk, ``groups`` being its (series offset, feeder id) pairs;
-    the offset names the group's repair time and replication."""
-    stepper = harness._step_chunk
+def batch_log(monkeypatch, step_log):
+    """``step_log`` with a ("batch", patterns) entry before the kernel steps
+    of each batch of new patterns, ``patterns`` being its (feeder id,
+    islanded hours as a tuple) pairs."""
+    stepper = harness._step_patterns
 
-    def logged(shadow, series, chunk):
-        if chunk:
-            step_log.append(("chunk", [(offset, f) for offset, f, _ in chunk]))
-        return stepper(shadow, series, chunk)
+    def logged(shadow, patterns):
+        step_log.append(("batch", [(f, tuple(mask.tolist())) for f, mask in patterns]))
+        return stepper(shadow, patterns)
 
-    monkeypatch.setattr(harness, "_step_chunk", logged)
+    monkeypatch.setattr(harness, "_step_patterns", logged)
     return step_log
 
 
-def chunks(log):
-    """The logged chunks as (groups, kernel calls) pairs."""
+def batches(log):
+    """The logged batches as (patterns, kernel calls) pairs."""
     found = []
     for entry in log:
-        if entry[0] == "chunk":
+        if entry[0] == "batch":
             found.append((entry[1], []))
         else:
             found[-1][1].append(entry)
     return found
 
 
+def patterns_of(events):
+    """A replication's (feeder id, islanded hours as a tuple) patterns."""
+    return [(f, tuple(mask.tolist())) for f, mask in islanded_masks(events, H)]
+
+
 class TestChunks:
-    """Replications stepped in chunks of (replication, disturbed feeder)
-    groups give the report of one re-dispatch from hour 0 per replication,
-    whatever the row budget."""
+    """A pass that steps its distinct (feeder, islanded hours) patterns in
+    batches gives the report of one re-dispatch from hour 0 per
+    replication, whatever the row budget."""
 
     @staticmethod
     def sparse_scenario(seed, n_feeders, per_feeder, replications, precharge, starts=1.0):
@@ -560,69 +564,78 @@ class TestChunks:
                         replications=replications, master_seed=seed, precharge=precharge)
 
     @pytest.mark.parametrize("precharge", ["full", "sor"])
-    def test_budget_changes_no_bit(self, precharge, monkeypatch, chunk_log):
+    def test_budget_changes_no_bit(self, precharge, monkeypatch, batch_log):
         """Row budgets from one row, through one feeder's rows, to the whole
-        run in one chunk: reports equal by bytes, and every chunk steps
-        each hour with at most one islanded and one connected call of
-        fewer than the budget plus one feeder's rows."""
-        seen = {"chunk of one replication": False, "chunk of several replications": False,
-                "replication over several chunks": False, "replication with no outage": False}
+        pass in one batch: reports equal by bytes, each distinct pattern is
+        stepped in exactly one batch, and every batch steps each hour with
+        at most one islanded and one connected call of fewer than the budget
+        plus one feeder's rows."""
+        seen = {"batch of one pattern": False, "batch of several patterns": False,
+                "replication over several batches": False,
+                "pattern of several replications": False, "replication with no outage": False}
         n = 3  # rows per feeder
         for seed in range(3):
             scenario = self.sparse_scenario(seed, 4, n, 16, precharge)
             shadow = compute_shadow(scenario)
             want = simulation_from_hour0(scenario, shadow)
             seen["replication with no outage"] |= [] in want.outage_logs
+            groups = [patterns_of(events) for events in want.outage_logs]
+            flat = [pattern for patterns in groups for pattern in patterns]
+            seen["pattern of several replications"] |= len(set(flat)) < len(flat)
             for budget in (1, 3, 7, 10**6):
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
-                chunk_log.clear()
+                batch_log.clear()
                 assert_same_report(run_simulation(scenario), want)
-                chunks_of = {}
-                logged = chunks(chunk_log)
-                for k, (groups, calls) in enumerate(logged):
-                    reps = {offset for offset, _ in groups}
-                    seen["chunk of one replication"] |= len(reps) == 1
-                    seen["chunk of several replications"] |= len(reps) > 1
-                    for rep in reps:
-                        chunks_of[rep] = chunks_of.get(rep, 0) + 1
-                    # A chunk closes at the group that brings it to the budget.
-                    assert n * len(groups) - n < budget
-                    assert n * len(groups) >= budget or k == len(logged) - 1
+                logged = batches(batch_log)
+                batch_of = {pattern: k for k, (patterns, _) in enumerate(logged)
+                            for pattern in patterns}
+                assert sorted(batch_of) == sorted(set(flat))
+                assert sum(len(patterns) for patterns, _ in logged) == len(batch_of)
+                for patterns in groups:
+                    seen["replication over several batches"] |= \
+                        len({batch_of[pattern] for pattern in patterns}) > 1
+                for k, (patterns, calls) in enumerate(logged):
+                    seen["batch of one pattern"] |= len(patterns) == 1
+                    seen["batch of several patterns"] |= len(patterns) > 1
+                    # A batch closes at the pattern that brings it to the budget.
+                    assert n * len(patterns) - n < budget
+                    assert n * len(patterns) >= budget or k == len(logged) - 1
                     modes = {}
                     for ids, hour, islanded in calls:
                         assert len(ids) < budget + n
                         assert islanded not in modes.setdefault(hour, set())
                         modes[hour].add(islanded)
-                seen["replication over several chunks"] |= max(chunks_of.values()) > 1
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("precharge", ["full", "sor"])
-    def test_sweep_points_share_chunks(self, precharge, monkeypatch, chunk_log):
-        """A sweep runs every repair time's groups through the same chunks:
+    def test_sweep_points_share_chunks(self, precharge, monkeypatch, batch_log):
+        """A sweep steps every repair time's patterns in the same batches:
         each point's report equals the from-hour-0 simulation at its repair
-        time by bytes, whatever the row budget."""
-        seen = {"chunk of two repair times": False}
+        time by bytes, whatever the row budget, and a pattern met at several
+        repair times is stepped once."""
+        seen = {"batch of two repair times": False, "pattern of two repair times": False}
         values = [1.0, 2.5, 4.0]
-
-        def point(offset):
-            """The repair-time index of a group's series offset in the pass's
-            flat ``(P, R, 8, H)`` series."""
-            return offset // (scenario.replications * len(SERIES_FIELDS) * H)
-
         for seed in range(3):
             scenario = self.sparse_scenario(seed, 4, 3, 8, precharge)
             shadow = compute_shadow(scenario)
             wants = [simulation_from_hour0(replace(scenario, repair_hours=value), shadow)
                      for value in values]
+            points = [{pattern for events in want.outage_logs for pattern in patterns_of(events)}
+                      for want in wants]
+            seen["pattern of two repair times"] |= \
+                sum(len(point) for point in points) > len(set().union(*points))
             for budget in (1, 3, 7, 10**6):
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
-                chunk_log.clear()
+                batch_log.clear()
                 runs = sweep_reports(scenario, values)
                 assert [value for value, _ in runs] == values
                 for (_, got), want in zip(runs, wants):
                     assert_same_report(got, want)
-                for groups, _ in chunks(chunk_log):
-                    seen["chunk of two repair times"] |= len({point(s) for s, _ in groups}) > 1
+                stepped = [pattern for patterns, _ in batches(batch_log) for pattern in patterns]
+                assert sorted(stepped) == sorted(set().union(*points))
+                for patterns, _ in batches(batch_log):
+                    seen["batch of two repair times"] |= \
+                        not any(set(patterns) <= point for point in points)
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize("precharge", ["full", "sor"])
@@ -639,35 +652,64 @@ class TestChunks:
 
 
 class TestSharing:
-    """A chunk steps each distinct (feeder, islanded hours) pattern once, and
-    a pass draws each (replication, feeder) stream once."""
+    """A pass steps each distinct (feeder, islanded hours) pattern once, and
+    draws each (replication, feeder) stream once."""
 
-    @pytest.mark.parametrize("k", [0, 9, 23])
-    def test_one_pattern_stepped_once(self, k, monkeypatch, chunk_log):
-        """F1 fails at hour k in every replication and no other feeder ever
-        fails: each chunk steps F1's n-Grids once an hour from hour k,
-        whatever its number of groups, and the report is the from-hour-0
-        one, by bytes."""
+    @staticmethod
+    def f1_at_hour(k):
+        """F1 of three 3-n-Grid feeders fails at hour k in each of 16
+        replications and no other feeder ever fails."""
         fleet = random_fleet(random.Random(k), n_feeders=3, ngrids_per_feeder=3)
         sor = SorTable({(f, h): float(f == "F1" and h == k)
                         for f in fleet.feeders for h in range(H)})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0,
-                            replications=16, master_seed=k)
+        return Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0,
+                        replications=16, master_seed=k)
+
+    @staticmethod
+    def assert_f1_stepped_once(scenario, k, calls):
+        """F1's n-Grids, and no other, are stepped once an hour from hour k."""
+        hours = ngrid_hours(calls)
+        assert set(hours) == {ng.id for ng in scenario.fleet.ngrids if ng.feeder_id == "F1"}
+        stepped = hours.popitem()[1]
+        assert stepped == list(range(k, stepped[-1] + 1))
+        assert all(h == stepped for h in hours.values())
+
+    @pytest.mark.parametrize("k", [0, 9, 23])
+    def test_one_pattern_stepped_once(self, k, monkeypatch, batch_log):
+        """F1's one pattern is stepped in one batch, once an hour from hour
+        k, whatever the budget and however many replications share it, and
+        the report is the from-hour-0 one, by bytes."""
+        scenario = self.f1_at_hour(k)
         want = simulation_from_hour0(scenario, compute_shadow(scenario))
-        f1 = {ng.id for ng in fleet.ngrids if ng.feeder_id == "F1"}
-        for budget, n_chunks in ((1, 16), (harness.ROW_BUDGET, 1)):
+        for budget in (1, harness.ROW_BUDGET):
             monkeypatch.setattr(harness, "ROW_BUDGET", budget)
-            chunk_log.clear()
+            batch_log.clear()
             assert_same_report(run_simulation(scenario), want)
-            logged = chunks(chunk_log)
-            assert len(logged) == n_chunks
-            for groups, calls in logged:
-                assert {f for _, f in groups} == {"F1"}
-                hours = ngrid_hours(calls)
-                assert set(hours) == f1
-                stepped = hours.popitem()[1]
-                assert stepped == list(range(k, stepped[-1] + 1))
-                assert all(h == stepped for h in hours.values())
+            logged = batches(batch_log)
+            assert len(logged) == 1
+            patterns, calls = logged[0]
+            assert [f for f, _ in patterns] == ["F1"]
+            self.assert_f1_stepped_once(scenario, k, calls)
+
+    @pytest.mark.parametrize("k", [0, 9, 23])
+    def test_pattern_stepped_once_per_pass(self, k, monkeypatch, step_log):
+        """One replication per draw block and one row per batch, with two
+        repair times that round to the same duration: F1's pattern recurs
+        in every block at both points and is still stepped once an hour
+        across the whole pass, and each point's report is the from-hour-0
+        one, by bytes."""
+        scenario = self.f1_at_hour(k)
+        shadow = compute_shadow(scenario)
+        values = [1.5, 2.0]
+        wants = [simulation_from_hour0(replace(scenario, repair_hours=value), shadow)
+                 for value in values]
+        monkeypatch.setattr(harness, "ROW_BUDGET", 1)
+        monkeypatch.setattr(harness, "DRAW_BLOCK", 1)
+        step_log.clear()
+        runs = sweep_reports(scenario, values)
+        for (_, got), want in zip(runs, wants):
+            assert_same_report(got, want)
+        self.assert_f1_stepped_once(scenario, k, step_log)
 
     def test_draw_block_changes_no_bit(self, monkeypatch):
         """Drawing one replication at a time, or a few, gives the report of
