@@ -250,9 +250,13 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
 
 
 def load_derate(path) -> dict[tuple[str, int], float]:
-    return {(rec["feeder_id"], rec["hour"]): rec["factor"]
-            for rec in read_table(path, DERATE_COLUMNS,
-                                  {"hour": int, "factor": float}.get)}
+    derate: dict[tuple[str, int], float] = {}
+    for rec in read_table(path, DERATE_COLUMNS, {"hour": int, "factor": float}.get):
+        key = (rec["feeder_id"], rec["hour"])
+        if key in derate:
+            raise ValidationError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
+        derate[key] = rec["factor"]
+    return derate
 
 
 def load_scenario(path) -> Scenario:

@@ -2,39 +2,38 @@
 fleet aggregation, repair-time sweeps, and report emission.
 
 Randomness is fully determined by (master_seed, replication_index,
-feeder_id): each feeder draws from its own PCG64 stream, seeded through
-``SeedSequence`` from the seed, the replication and the CRC-32 of the feeder
-id, so adding feeders or changing the repair time never perturbs another
-feeder's draws. One uniform is drawn per feeder-hour and the Bernoulli
-comparison is applied only while no outage is active, which keeps outage
-*starts* identical across repair-time sweep points; a Monte Carlo pass draws
-each stream once and derives every repair time's outages from it. The pass
-computes the streams of a block of replications at once (:func:`_uniforms`
-runs ``SeedSequence`` and PCG64 in uint64 array arithmetic, bit for bit the
-draws of ``np.random.default_rng``, whose oracle is ``feeder_rng`` in
-``tests/oracles.py``) and suppresses outages in hour steps over arrays.
+feeder_id): each feeder draws one uniform per hour from its own PCG64
+stream, seeded through ``SeedSequence`` from the seed, the replication and
+the CRC-32 of the feeder id, so adding feeders or changing the repair time
+never perturbs another feeder's draws. A hit starts an outage only while
+none is active, which keeps outage *starts* identical across repair-time
+sweep points. A Monte Carlo pass draws each stream once, a block of
+replications at a time (:func:`_uniforms` runs ``SeedSequence`` and PCG64
+in uint64 array arithmetic, bit for bit ``np.random.default_rng``, whose
+oracle is ``feeder_rng`` in ``tests/oracles.py``), and derives every
+repair time's outages from it in hour steps over arrays.
 
 A simulation is a sweep of one repair time. A sweep validates once,
 computes the no-outage shadow (the whole fleet grid-tied all day, stepped
 as one block by :func:`ngridsim.dispatch.step`) once, and runs one Monte
 Carlo pass for all its points. A feeder's dispatch depends only on its own
 islanded hours, so each distinct (feeder, islanded hours) pattern has one
-per-hour change to the fleet series, whatever replication or repair time
-it comes from; the pass keeps one table of them and steps each pattern
-once. New patterns are stepped in batches that close at the pattern that
-brings their rows (one per n-Grid on the feeder) to ``ROW_BUDGET``. A
-pattern's rows join the batch's live rows from the shadow's states at its
-first outage hour and, after its last islanded hour, leave them once
-every row's state equals the shadow's after a connected hour, as
-connected dispatch then repeats the shadow. The live rows are stepped
-hour by hour with at most two kernel calls an hour, one on the islanded
-rows and one on the connected rows. A pattern's change is, at each hour
-it is stepped, its load, ENS and spill summed over the feeder's n-Grids in
-fleet order from 0.0, less the shadow's feeder totals; and at islanded
-hours, minus the feeder's ramp. A replication's series is the shadow's
-baseline plus each disturbed feeder's change in feeder order. A change of
-0.0 keeps every bit, so results are bit-identical to a from-hour-0
-re-dispatch summed by the same rule, whatever the batches.
+per-hour change to the fleet series; the pass steps each pattern once, in
+batches that close at the pattern that brings their rows (one per n-Grid
+on the feeder) to ``ROW_BUDGET``. A pattern's rows are live from its first
+outage hour, in the shadow's states, until after its last islanded hour
+every row's state equals the shadow's; each hour steps the live rows in at
+most two kernel calls, one islanded and one connected. A pattern's change
+at a stepped hour is its load, ENS and spill summed over the feeder's
+n-Grids in fleet order from 0.0, less the shadow's feeder totals, and at
+an islanded hour minus the feeder's ramp. A replication's series is the
+shadow's baseline plus each disturbed feeder's change in feeder order; a
+change of 0.0 keeps every bit, so results are bit-identical to a
+from-hour-0 re-dispatch summed by the same rule, whatever the batches.
+
+A pass keeps no replication's series: it folds each draw block's into one
+sum per repair time (:func:`_fold` adds left to right, so the carried sums
+keep every bit) and keeps only each replication's ENS, spill and outages.
 """
 
 from __future__ import annotations
@@ -143,9 +142,10 @@ class SimulationReport:
     total_ens_mwh: float
     total_spilled_mwh: float
     max_ru_total_kw: float
-    outage_logs: list[list[OutageEvent]]
-    per_rep_ens_mwh: list[float]
-    per_rep_spilled_mwh: list[float]
+    # Replication, feeder id, start hour and duration: outages.csv's columns.
+    outages: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    per_rep_ens_mwh: np.ndarray
+    per_rep_spilled_mwh: np.ndarray
 
 
 def _seed_words(n: int) -> list[int]:
@@ -185,10 +185,9 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
 def _pcg64_doubles(words: np.ndarray, horizon: int) -> np.ndarray:
     """Uniforms ``(horizon, K)``: column k holds the first ``horizon`` draws
     of ``np.random.default_rng(words[:, k])``, for ``(n, K)`` uint32 seed
-    words held as uint64. Every step
-    of ``SeedSequence`` and PCG64 runs on all K keys at once, in uint64
-    arithmetic that wraps; the hash constants depend only on a step's
-    position, so they are Python ints."""
+    words held as uint64. Every step of ``SeedSequence`` and PCG64 runs on
+    all K keys at once, in uint64 arithmetic that wraps; the hash constants
+    depend only on a step's position, so they are Python ints."""
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -265,11 +264,11 @@ def _duration(repair_hours: float) -> int:
     return max(1, math.ceil(repair_hours))
 
 
-def _outages(hits: np.ndarray, durations: list[int], feeder_ids) -> tuple[list, np.ndarray]:
+def _outages(hits: np.ndarray, durations: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """The outages that ``hits`` ``(R, F, H)`` start at each duration: a hit
-    while its feeder's outage is active starts none. Returns the logs
-    ``[p][r]``, in feeder and then hour order, and the islanded hours
-    ``(P, R, F, H)``."""
+    while its feeder's outage is active starts none. Returns their rows
+    (point, replication, feeder, start hour, length), in that order, and the
+    islanded hours ``(P, R, F, H)``."""
     R, F, H = hits.shape
     starts = np.zeros((len(durations), R, F, H), dtype=bool)
     until = np.zeros(starts.shape[:3], dtype=np.intp)
@@ -283,12 +282,14 @@ def _outages(hits: np.ndarray, durations: list[int], feeder_ids) -> tuple[list, 
     islanded = count > 0
     for p, d in enumerate(durations):
         islanded[p, ..., d:] = count[p, ..., d:] > count[p, ..., :-d]
-    logs = [[[] for _ in range(R)] for _ in durations]
     at = np.nonzero(starts)
     lengths = np.minimum(ends.ravel()[at[0]], H - at[3])  # cut at the horizon
-    for p, r, f, h, n in zip(*(a.tolist() for a in (*at, lengths))):
-        logs[p][r].append(OutageEvent(feeder_ids[f], h, n))
-    return logs, islanded
+    return np.stack([*at, lengths], axis=1), islanded
+
+
+def _events(outages: np.ndarray, feeder_ids) -> list[OutageEvent]:
+    """:func:`_outages` rows as events, in row order."""
+    return [OutageEvent(feeder_ids[f], h, n) for _, _, f, h, n in outages.tolist()]
 
 
 def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
@@ -299,7 +300,7 @@ def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
     does not depend on the repair duration."""
     u = np.array([rng_for_feeder(f).random(horizon) for f in sor.feeder_ids])
     hits = u < sor.probabilities[:, :horizon]
-    return _outages(hits[None], [_duration(repair_hours)], sor.feeder_ids)[0][0][0]
+    return _events(_outages(hits[None], [_duration(repair_hours)])[0], sor.feeder_ids)
 
 
 @dataclass
@@ -438,19 +439,21 @@ def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
 
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
-                 indices) -> tuple[np.ndarray, list[list[list[OutageEvent]]]]:
-    """Series ``(P, R, 8, H)``, each ``[p, r]`` as ``_Shadow.baseline``, and
-    outage logs ``[p][r]`` for repair time ``repair_values[p]`` and
-    replication ``indices[r]``. Replications go in blocks of about
-    ``DRAW_BLOCK`` streams, each drawing its uniforms once for every repair
-    time; a block steps the patterns the pass has not met yet, in
-    (replication, repair time, feeder) order, then adds every disturbed
-    feeder's change in feeder order."""
+                 indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per repair time ``repair_values[p]``: the sum ``(P, 8, H)`` of the
+    replications' series, each as ``_Shadow.baseline``, from 0.0 in order;
+    replication ``indices[r]``'s ENS and spill over the day, ``(P, R, 2)``;
+    and its :func:`_outages` rows, ``r`` counted over the pass. Replications
+    go in blocks of about ``DRAW_BLOCK`` streams, each drawing its uniforms
+    once for every repair time; a block steps the patterns the pass has not
+    met yet, in (replication, repair time, feeder) order, adds every
+    disturbed feeder's change in feeder order and is folded into the sums."""
     H = scenario.horizon
     feeder_ids = scenario.sor.feeder_ids
     durations = [_duration(value) for value in repair_values]
-    series = np.tile(shadow.baseline, (len(repair_values), len(indices), 1, 1))
-    logs = [[] for _ in repair_values]
+    total = np.zeros((len(repair_values), 8, H))
+    energy = np.empty((len(repair_values), len(indices), 2))
+    outages = []
     # The pass's pattern ids by (feeder index, islanded hours), and each id's
     # change to series rows 0, 2, 3, 5 and 7; id 0, no outage, changes none.
     pattern_ids, table = {}, np.zeros((1, 5, H))
@@ -458,9 +461,9 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     for r0 in range(0, len(indices), block):
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
                          H) < scenario.sor.probabilities[:, :H]
-        block_logs, islanded = _outages(hits, durations, feeder_ids)
-        for p, block_log in enumerate(block_logs):
-            logs[p] += block_log
+        rows, islanded = _outages(hits, durations)
+        rows[:, 1] += r0
+        outages.append(rows)
         ids = np.zeros(islanded.shape[:3], dtype=np.intp)
         batches, batch, queued = [table], [], 0
         for r, p, f in zip(*(a.tolist() for a in np.nonzero(
@@ -477,12 +480,13 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
         if batch:
             batches.append(_step_patterns(shadow, batch))
         table = np.concatenate(batches)
-        # Adding a change of 0.0 keeps every bit, so each element is the
-        # baseline plus each disturbed feeder's change in feeder order.
-        runs = series[:, r0:r0 + len(hits)]
+        # A replication without feeder f adds pattern 0's change, 0.0: no bit moves.
+        runs = np.tile(shadow.baseline, (len(repair_values), len(hits), 1, 1))
         for f in np.flatnonzero(ids.any(axis=(0, 1))).tolist():
             runs[:, :, [0, 2, 3, 5, 7]] += table[ids[:, :, f]]
-    return series, logs
+        total = _fold(total, np.moveaxis(runs, 1, -1))
+        energy[:, r0:r0 + len(hits)] = runs[:, :, 2:4].sum(axis=-1)
+    return total, energy, np.concatenate(outages)
 
 
 def check_repair_values(repair_values: list[float]) -> None:
@@ -512,9 +516,9 @@ def run_replication(scenario: Scenario,
     totals plus the outage log for one replication: the Monte Carlo pass of
     :func:`sweep_reports` on this replication and repair time alone."""
     _validate(scenario, [scenario.repair_hours])
-    series, logs = _monte_carlo(scenario, compute_shadow(scenario),
-                                [scenario.repair_hours], [replication_index])
-    return FleetSeries(*series[0, 0]), logs[0][0]
+    total, _, outages = _monte_carlo(scenario, compute_shadow(scenario),
+                                     [scenario.repair_hours], [replication_index])
+    return FleetSeries(*total[0]), _events(outages, scenario.sor.feeder_ids)
 
 
 def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
@@ -531,20 +535,20 @@ def sweep_reports(scenario: Scenario,
     shadow and one Monte Carlo pass; each point's replications are summed
     in index order and averaged element-wise."""
     _validate(scenario, repair_values)
-    series, logs = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
-                                range(scenario.replications))
+    total, energy, outages = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
+                                          range(scenario.replications))
     reports = []
-    for value, runs, outage_logs in zip(repair_values, series, logs):
-        total = _fold(np.zeros(runs.shape[1:]), np.moveaxis(runs, 0, -1))
-        mean = FleetSeries(*(total * (1.0 / len(runs))))
+    for p, value in enumerate(repair_values):
+        mean = FleetSeries(*(total[p] * (1.0 / scenario.replications)))
+        _, rep, f, start, length = outages[outages[:, 0] == p].T
         reports.append((value, SimulationReport(
             mean_series=mean,
             total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,
             total_spilled_mwh=float(mean.spilled_kw.sum()) / 1000.0,
             max_ru_total_kw=float(mean.ru_total_kw.max()),
-            outage_logs=outage_logs,
-            per_rep_ens_mwh=[float(s[2].sum()) / 1000.0 for s in runs],
-            per_rep_spilled_mwh=[float(s[3].sum()) / 1000.0 for s in runs],
+            outages=(rep, np.array(scenario.sor.feeder_ids)[f], start, length),
+            per_rep_ens_mwh=energy[p, :, 0] / 1000.0,
+            per_rep_spilled_mwh=energy[p, :, 1] / 1000.0,
         )))
     return reports
 
@@ -563,8 +567,7 @@ def emit_report(report: SimulationReport,
         ("summary.csv", ("total_ens_mwh", "total_spilled_mwh", "max_ru_total_kw"),
          [(report.total_ens_mwh, report.total_spilled_mwh, report.max_ru_total_kw)]),
         ("outages.csv", ("replication", "feeder_id", "start_hour", "duration_hours"),
-         ((rep, ev.feeder_id, ev.start_hour, ev.duration_hours)
-          for rep, events in enumerate(report.outage_logs) for ev in events)),
+         zip(*report.outages)),
     ]
     if sweep:
         tables.append(("sweep.csv", ("repair_hours", "total_ens_mwh", "total_spilled_mwh"),

@@ -135,15 +135,16 @@ def simulation_from_hour0(scenario, shadow):
     """``harness.run_simulation``'s report from :func:`replication_from_hour0`
     run for each replication in index order."""
     total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
-    outage_logs, per_rep_ens, per_rep_spilled = [], [], []
+    outages, per_rep_ens, per_rep_spilled = [], [], []
     for i in range(scenario.replications):
         series, events = replication_from_hour0(scenario, i, shadow)
         total += [getattr(series, name) for name in SERIES_FIELDS]
-        outage_logs.append(events)
+        outages += [(i, ev.feeder_id, ev.start_hour, ev.duration_hours) for ev in events]
         per_rep_ens.append(float(series.ens_kw.sum()) / 1000.0)
         per_rep_spilled.append(float(series.spilled_kw.sum()) / 1000.0)
     mean = FleetSeries(*(total * (1.0 / scenario.replications)))
+    columns = tuple(np.array(column) for column in zip(*outages)) or (np.array([]),) * 4
     return SimulationReport(mean, float(mean.ens_kw.sum()) / 1000.0,
                             float(mean.spilled_kw.sum()) / 1000.0,
-                            float(mean.ru_total_kw.max()), outage_logs,
-                            per_rep_ens, per_rep_spilled)
+                            float(mean.ru_total_kw.max()), columns,
+                            np.array(per_rep_ens), np.array(per_rep_spilled))

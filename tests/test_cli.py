@@ -342,6 +342,18 @@ class TestLoaderErrors:
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert f"derate row outside scenario: feeder {feeder!r} hour {hour}" in err
 
+    def test_duplicate_derate_row(self, tmp_path, capsys):
+        """A (feeder, hour) given twice is refused, not settled by its last
+        factor."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
+        path = scenario.parent / "derate.csv"
+        path.write_text("feeder_id,hour,factor\nF1,3,0.5\nF1,3,0.9\n")
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert f"{path}: duplicate entry for feeder 'F1' hour 3" in err
+
     def test_duplicate_feeder_id(self, tmp_path, capsys):
         """Two ``- id: F1`` blocks: the fleet is rejected instead of the
         first block's n-Grid dropping out of the results."""

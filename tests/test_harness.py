@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -172,13 +173,16 @@ class TestSampleOutages:
             for horizon in (H, rng.randint(1, H - 1)):
                 hits = harness._uniforms(case, indices, sor.feeder_ids, horizon) \
                     < sor.probabilities[:, :horizon]
-                logs, islanded = harness._outages(
-                    hits, [max(1, math.ceil(v)) for v in repairs], sor.feeder_ids)
+                rows, islanded = harness._outages(
+                    hits, [max(1, math.ceil(v)) for v in repairs])
+                assert rows.tolist() == sorted(rows.tolist())
                 for p, repair in enumerate(repairs):
                     for r, i in enumerate(indices):
                         want = sample_outages_scan(sor, repair, horizon,
                                                    self.rng_factory(case, i))
-                        assert logs[p][r] == want, (case, repair, i, horizon)
+                        got = [OutageEvent(sor.feeder_ids[f], h, n)
+                               for q, rep, f, h, n in rows.tolist() if (q, rep) == (p, r)]
+                        assert got == want, (case, repair, i, horizon)
                         masks = dict(islanded_masks(want, horizon))
                         for f, feeder_id in enumerate(sor.feeder_ids):
                             assert islanded[p, r, f].tolist() == masks.get(
@@ -470,7 +474,8 @@ class TestIncrementalReplication:
 class TestUndisturbedHours:
     """A replication's series keeps the shadow baseline's bits wherever its
     stepped hours change nothing: PV at every hour, and every series at
-    each hour before its first outage starts."""
+    each hour before its first outage starts. A pass of one replication
+    index sums its series from 0.0, which keeps its bits."""
 
     @staticmethod
     def assert_baseline_kept(scenario, replications):
@@ -478,13 +483,13 @@ class TestUndisturbedHours:
         had an outage that starts after hour 0."""
         shadow = compute_shadow(scenario)
         values = [1.0, 2.5, 4.0]
-        series, logs = harness._monte_carlo(scenario, shadow, values, range(replications))
         late = 0
-        for p, value in enumerate(values):
-            for r in range(replications):
-                got = series[p, r]
+        for r in range(replications):
+            total, _, outages = harness._monte_carlo(scenario, shadow, values, [r])
+            for p, value in enumerate(values):
+                got = total[p]
                 assert got[1].tobytes() == shadow.baseline[1].tobytes(), (value, r)
-                first = min((ev.start_hour for ev in logs[p][r]), default=H)
+                first = min(outages[outages[:, 0] == p, 3].tolist(), default=H)
                 assert got[:, :first].tobytes() == shadow.baseline[:, :first].tobytes(), \
                     (value, r, first)
                 late += 0 < first < H
@@ -501,17 +506,20 @@ class TestUndisturbedHours:
 
 
 def assert_same_report(got, want):
-    """Every series, total, outage log and per-replication figure, by bytes."""
+    """Every series, total, outage column and per-replication figure, by
+    bytes."""
     for name in SERIES_FIELDS:
         assert getattr(got.mean_series, name).tobytes() == \
             getattr(want.mean_series, name).tobytes(), name
     for name in ("total_ens_mwh", "total_spilled_mwh", "max_ru_total_kw"):
         assert np.float64(getattr(got, name)).tobytes() == \
             np.float64(getattr(want, name)).tobytes(), name
-    assert got.outage_logs == want.outage_logs
+    assert len(got.outages) == len(want.outages) == 4
+    for a, b in zip(got.outages, want.outages):
+        assert a.tolist() == b.tolist()
     for name in ("per_rep_ens_mwh", "per_rep_spilled_mwh"):
-        assert np.array(getattr(got, name)).tobytes() == \
-            np.array(getattr(want, name)).tobytes(), name
+        assert getattr(got, name).dtype == np.float64, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.fixture
@@ -538,6 +546,14 @@ def batches(log):
         else:
             found[-1][1].append(entry)
     return found
+
+
+def outage_logs(report, replications):
+    """The report's outages as one event list per replication."""
+    logs = [[] for _ in range(replications)]
+    for rep, f, h, n in zip(*(column.tolist() for column in report.outages)):
+        logs[rep].append(OutageEvent(f, h, n))
+    return logs
 
 
 def patterns_of(events):
@@ -578,8 +594,9 @@ class TestChunks:
             scenario = self.sparse_scenario(seed, 4, n, 16, precharge)
             shadow = compute_shadow(scenario)
             want = simulation_from_hour0(scenario, shadow)
-            seen["replication with no outage"] |= [] in want.outage_logs
-            groups = [patterns_of(events) for events in want.outage_logs]
+            logs = outage_logs(want, scenario.replications)
+            seen["replication with no outage"] |= [] in logs
+            groups = [patterns_of(events) for events in logs]
             flat = [pattern for patterns in groups for pattern in patterns]
             seen["pattern of several replications"] |= len(set(flat)) < len(flat)
             for budget in (1, 3, 7, 10**6):
@@ -620,8 +637,8 @@ class TestChunks:
             shadow = compute_shadow(scenario)
             wants = [simulation_from_hour0(replace(scenario, repair_hours=value), shadow)
                      for value in values]
-            points = [{pattern for events in want.outage_logs for pattern in patterns_of(events)}
-                      for want in wants]
+            points = [{pattern for events in outage_logs(want, scenario.replications)
+                       for pattern in patterns_of(events)} for want in wants]
             seen["pattern of two repair times"] |= \
                 sum(len(point) for point in points) > len(set().union(*points))
             for budget in (1, 3, 7, 10**6):
@@ -713,11 +730,13 @@ class TestSharing:
 
     def test_draw_block_changes_no_bit(self, monkeypatch):
         """Drawing one replication at a time, or a few, gives the report of
-        one draw for the whole pass, by bytes."""
+        one draw for the whole pass, by bytes: the sums carried across draw
+        blocks, the last of which may be partial (12 streams of 4 feeders
+        are blocks of 3, 3, 3 and 1 replications), keep every bit."""
         scenario = TestChunks.sparse_scenario(4, 4, 2, 10, "sor", starts=3.0)
         values = [1.0, 2.5, 4.0]
         want = sweep_reports(scenario, values)
-        for block in (1, 9):
+        for block in (1, 9, 12):
             monkeypatch.setattr(harness, "DRAW_BLOCK", block)
             got = sweep_reports(scenario, values)
             for (_, a), (_, b) in zip(got, want):
@@ -738,6 +757,31 @@ class TestSharing:
         sweep_reports(scenario, [1.0, 2.5, 4.0, 6.0])
         assert sorted(drawn) == sorted((5, i, f) for i in range(6)
                                        for f in scenario.fleet.feeders)
+
+
+def test_pass_memory_flat_in_replications(monkeypatch):
+    """A pass keeps no replication's series: between 512 and 8,192
+    replications, a two-point sweep's peak traced memory grows by less than
+    one replication's series (8 x H float64s) per added replication. Small
+    draw blocks keep the per-block arrays small beside that growth, and
+    outages at two hours only keep the patterns few."""
+    monkeypatch.setattr(harness, "DRAW_BLOCK", 64)
+    fleet = random_fleet(random.Random(23), n_feeders=2, ngrids_per_feeder=2)
+    sor = flat_sor(fleet.feeders, overrides={(f, h): 0.5 for f in fleet.feeders for h in (8, 16)})
+    scenario = Scenario(fleet=fleet, sor=sor, horizon=H, master_seed=23, precharge="sor")
+
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            reports = sweep_reports(replace(scenario, replications=replications), [1.0, 3.0])
+            return tracemalloc.get_traced_memory()[1], reports
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(512)
+    large, reports = peak(8192)
+    assert (large - small) / (8192 - 512) < len(SERIES_FIELDS) * H * 8
+    assert all(len(report.outages[0]) > 8192 for _, report in reports)
 
 
 def test_simulate_leaves_numpy_random_unloaded(tmp_path):
@@ -789,7 +833,7 @@ class TestRunSimulation:
         for name in ("load_kw", "ens_kw", "spilled_kw", "ru_avail_kw"):
             np.testing.assert_array_equal(getattr(serial.mean_series, name),
                                           getattr(parallel.mean_series, name))
-        assert serial.outage_logs == parallel.outage_logs
+        assert [c.tolist() for c in serial.outages] == [c.tolist() for c in parallel.outages]
 
     def test_workers_start_no_threads(self, tmp_path, monkeypatch):
         """``workers`` is accepted and selects no code path: replications
@@ -801,7 +845,7 @@ class TestRunSimulation:
         sor = flat_sor(["F1"], p=0.2)
         scenario = single_ngrid_scenario(sor=sor, replications=8, master_seed=11,
                                          bess=StorageUnit(5.0, 2.0, 5.0))
-        assert len(run_simulation(scenario, workers=4).outage_logs) == 8
+        assert len(run_simulation(scenario, workers=4).per_rep_ens_mwh) == 8
         assert main(["simulate", "--scenario", str(write_tiny_bundle(tmp_path / "tiny")),
                      "--out", str(tmp_path / "out"), "--workers", "4"]) == 0
 
@@ -834,7 +878,7 @@ class TestRunSimulation:
         sor = flat_sor(["F1"], p=0.3)
         scenario = single_ngrid_scenario(sor=sor, replications=5, master_seed=3,
                                          bess=StorageUnit(5.0, 1.0, 5.0))
-        assert sum(len(log) for log in run_simulation(scenario).outage_logs) > 0
+        assert len(run_simulation(scenario).outages[0]) > 0
         assert len(sweep_reports(scenario, [1.0, 3.0])) == 2
 
     def test_invalid_scenario_raises(self):
