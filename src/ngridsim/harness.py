@@ -31,9 +31,10 @@ shadow's baseline plus each disturbed feeder's change in feeder order; a
 change of 0.0 keeps every bit, so results are bit-identical to a
 from-hour-0 re-dispatch summed by the same rule, whatever the batches.
 
-A pass keeps no replication's series: it folds each draw block's into one
-sum per repair time (:func:`_fold` adds left to right, so the carried sums
-keep every bit) and keeps only each replication's ENS, spill and outages.
+A pass draws every block, keeping its outages and pattern ids; steps each
+distinct pattern once, in ``ROW_BUDGET`` batches; then adds and folds
+block by block into one sum per repair time (:func:`_fold` adds left to
+right, so every bit is kept). It keeps no replication's series.
 """
 
 from __future__ import annotations
@@ -320,8 +321,8 @@ class _Shadow:
     baseline: np.ndarray
 
 
-# A batch of new patterns closes at the pattern that brings its rows to this
-# many, so a kernel call holds fewer than it plus the largest feeder's.
+# A pass's pattern batches close at the pattern that brings their rows to
+# this many, so a kernel call holds fewer than it plus the largest feeder's.
 ROW_BUDGET = 32768
 
 # A pass draws its uniforms for this many (replication, feeder) streams at a
@@ -443,49 +444,48 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     """Per repair time ``repair_values[p]``: the sum ``(P, 8, H)`` of the
     replications' series, each as ``_Shadow.baseline``, from 0.0 in order;
     replication ``indices[r]``'s ENS and spill over the day, ``(P, R, 2)``;
-    and its :func:`_outages` rows, ``r`` counted over the pass. Replications
-    go in blocks of about ``DRAW_BLOCK`` streams, each drawing its uniforms
-    once for every repair time; a block steps the patterns the pass has not
-    met yet, in (replication, repair time, feeder) order, adds every
-    disturbed feeder's change in feeder order and is folded into the sums."""
+    and its :func:`_outages` rows, ``r`` counted over the pass. A pass draws
+    its blocks of about ``DRAW_BLOCK`` streams, steps each distinct pattern
+    once, in the order met, then adds and folds block by block."""
     H = scenario.horizon
     feeder_ids = scenario.sor.feeder_ids
     durations = [_duration(value) for value in repair_values]
-    total = np.zeros((len(repair_values), 8, H))
-    energy = np.empty((len(repair_values), len(indices), 2))
-    outages = []
-    # The pass's pattern ids by (feeder index, islanded hours), and each id's
-    # change to series rows 0, 2, 3, 5 and 7; id 0, no outage, changes none.
-    pattern_ids, table = {}, np.zeros((1, 5, H))
     block = max(1, DRAW_BLOCK // len(feeder_ids))
-    for r0 in range(0, len(indices), block):
+    blocks = range(0, len(indices), block)
+    # Draw: each disturbed (repair time, replication, feeder)'s pattern id,
+    # keyed by (feeder index, islanded hours); id 0, no outage, changes none.
+    pattern_ids, outages = {}, []
+    ids = np.zeros((len(durations), len(indices), len(feeder_ids)), dtype=np.intp)
+    for r0 in blocks:
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
                          H) < scenario.sor.probabilities[:, :H]
         rows, islanded = _outages(hits, durations)
         rows[:, 1] += r0
         outages.append(rows)
-        ids = np.zeros(islanded.shape[:3], dtype=np.intp)
-        batches, batch, queued = [table], [], 0
         for r, p, f in zip(*(a.tolist() for a in np.nonzero(
                 islanded.any(axis=-1).transpose(1, 0, 2)))):
-            key = (f, islanded[p, r, f].tobytes())
-            if key not in pattern_ids:
-                pattern_ids[key] = len(pattern_ids) + 1
-                batch.append((feeder_ids[f], islanded[p, r, f]))
-                queued += len(shadow.feeder_rows[feeder_ids[f]])
-                if queued >= ROW_BUDGET:
-                    batches.append(_step_patterns(shadow, batch))
-                    batch, queued = [], 0
-            ids[p, r, f] = pattern_ids[key]
-        if batch:
-            batches.append(_step_patterns(shadow, batch))
-        table = np.concatenate(batches)
-        # A replication without feeder f adds pattern 0's change, 0.0: no bit moves.
-        runs = np.tile(shadow.baseline, (len(repair_values), len(hits), 1, 1))
-        for f in np.flatnonzero(ids.any(axis=(0, 1))).tolist():
-            runs[:, :, [0, 2, 3, 5, 7]] += table[ids[:, :, f]]
+            ids[p, r0 + r, f] = pattern_ids.setdefault(
+                (f, islanded[p, r, f].tobytes()), len(pattern_ids) + 1)
+    # Step: each id's change to series rows 0, 2, 3, 5 and 7.
+    table = np.zeros((len(pattern_ids) + 1, 5, H))
+    keys = list(pattern_ids)
+    first, queued = 0, 0
+    for k, (f, _) in enumerate(keys):
+        queued += len(shadow.feeder_rows[feeder_ids[f]])
+        if queued >= ROW_BUDGET or k == len(keys) - 1:
+            table[first + 1:k + 2] = _step_patterns(shadow, [
+                (feeder_ids[i], np.frombuffer(mask, dtype=bool)) for i, mask in keys[first:k + 1]])
+            first, queued = k + 1, 0
+    # Add: a replication without feeder f adds pattern 0's change, 0.0: no bit moves.
+    total = np.zeros((len(durations), 8, H))
+    energy = np.empty((len(durations), len(indices), 2))
+    for r0 in blocks:
+        block_ids = ids[:, r0:r0 + block]
+        runs = np.tile(shadow.baseline, (*block_ids.shape[:2], 1, 1))
+        for f in np.flatnonzero(block_ids.any(axis=(0, 1))).tolist():
+            runs[:, :, [0, 2, 3, 5, 7]] += table[block_ids[:, :, f]]
         total = _fold(total, np.moveaxis(runs, 1, -1))
-        energy[:, r0:r0 + len(hits)] = runs[:, :, 2:4].sum(axis=-1)
+        energy[:, r0:r0 + block] = runs[:, :, 2:4].sum(axis=-1)
     return total, energy, np.concatenate(outages)
 
 

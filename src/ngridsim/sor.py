@@ -149,6 +149,8 @@ def train(rows: list[FeatureRow],
     interpreter: a stable presort; sums left to right (``np.cumsum``, never
     the pairwise ``np.sum``); ``math.exp`` mapped over ``-|x|``, never ``np.exp``.
     """
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     if len(rows) < 2:
         raise ValueError("training needs at least 2 rows")
     labels = [r.label for r in rows]

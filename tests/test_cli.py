@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import json
 import random
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -653,6 +654,22 @@ class TestSorCli:
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert "holdout.csv" in err and "column 'gust'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-0.1", "0"])
+    def test_train_rejects_learning_rate(self, tmp_path, capsys, rate):
+        """A learning rate that is not finite and > 0 ends in exit 1 naming
+        the field, with no model written and no numpy warning."""
+        data = tmp_path / "train.csv"
+        self.write_training_csv(data)
+        model = tmp_path / "model.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sor", "train", "--data", str(data), "--out", str(model),
+                         f"--learning-rate={rate}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and err.count("\n") == 1
+        assert "learning_rate" in err and "Traceback" not in err
+        assert not model.exists()
 
     def test_train_single_class_fails_validation(self, tmp_path):
         data = tmp_path / "train.csv"

@@ -1,4 +1,5 @@
 import filecmp
+import itertools
 import math
 import os
 import random
@@ -525,7 +526,7 @@ def assert_same_report(got, want):
 @pytest.fixture
 def batch_log(monkeypatch, step_log):
     """``step_log`` with a ("batch", patterns) entry before the kernel steps
-    of each batch of new patterns, ``patterns`` being its (feeder id,
+    of each batch of patterns, ``patterns`` being its (feeder id,
     islanded hours as a tuple) pairs."""
     stepper = harness._step_patterns
 
@@ -582,14 +583,17 @@ class TestChunks:
     @pytest.mark.parametrize("precharge", ["full", "sor"])
     def test_budget_changes_no_bit(self, precharge, monkeypatch, batch_log):
         """Row budgets from one row, through one feeder's rows, to the whole
-        pass in one batch: reports equal by bytes, each distinct pattern is
-        stepped in exactly one batch, and every batch steps each hour with
-        at most one islanded and one connected call of fewer than the budget
-        plus one feeder's rows."""
+        pass in one batch, with the default draw block and with blocks of
+        one replication (4 streams of 4 feeders): reports equal by bytes,
+        each distinct pattern is stepped in exactly one batch, batches close
+        at the budget and not at a draw block, and every batch steps each
+        hour with at most one islanded and one connected call of fewer than
+        the budget plus one feeder's rows."""
         seen = {"batch of one pattern": False, "batch of several patterns": False,
                 "replication over several batches": False,
                 "pattern of several replications": False, "replication with no outage": False}
         n = 3  # rows per feeder
+        default_block = harness.DRAW_BLOCK
         for seed in range(3):
             scenario = self.sparse_scenario(seed, 4, n, 16, precharge)
             shadow = compute_shadow(scenario)
@@ -599,7 +603,8 @@ class TestChunks:
             groups = [patterns_of(events) for events in logs]
             flat = [pattern for patterns in groups for pattern in patterns]
             seen["pattern of several replications"] |= len(set(flat)) < len(flat)
-            for budget in (1, 3, 7, 10**6):
+            for block, budget in itertools.product((default_block, 4), (1, 3, 7, 10**6)):
+                monkeypatch.setattr(harness, "DRAW_BLOCK", block)
                 monkeypatch.setattr(harness, "ROW_BUDGET", budget)
                 batch_log.clear()
                 assert_same_report(run_simulation(scenario), want)

@@ -125,6 +125,14 @@ class TestTrain:
         assert len(in_sort) == 37
         assert left_r != in_order(in_rows) and left_r != float(np.sum(in_sort))
 
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf, -math.inf, -0.1, 0.0, -0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
+        """A rate that is not finite makes a model no loader accepts; a
+        negative one inverts every stump and zero leaves only the prior."""
+        rows = [FeatureRow("F1", h, {"x": float(h)}, label=h % 2) for h in range(10)]
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            train(rows, n_stumps=3, learning_rate=learning_rate)
+
     def test_feature_both_numeric_and_categorical_rejected(self):
         rows = [FeatureRow("F1", h, {"x": float(h)}, {"x": "ab"[h % 2]}, label=h % 2)
                 for h in range(10)]
