@@ -9,15 +9,15 @@ or per-hour list), and deferrable tasks. Every fleet number is a JSON number
 (not a bool or a string) and every hour a JSON integer. Profiles come from a
 ``ngrid_id,hour,load_kw,pv_kw`` CSV with one row per n-Grid hour; every
 profile is a tuple of floats. A key may appear once per YAML mapping or JSON
-object: a repeated one is reported, with its line in YAML (the C decoder in
-``json`` gives no position for a key). The loaders check form;
-:func:`ngridsim.fleet.validate_fleet` checks values, and
-:func:`load_scenario` reports its problems after the fleet file's name.
+object: a repeated one is reported, with its line in YAML (JSON files are
+read by :func:`ngridsim.tables.read_json`). The loaders check form;
+:func:`ngridsim.fleet.validate_fleet` checks values, such as an HVAC
+profile's length, and :func:`load_scenario` reports its problems after the
+fleet file's name.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import fields
 
@@ -27,7 +27,7 @@ from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, St
                     validate_fleet)
 from .harness import Scenario
 from .sor import load_sor_table
-from .tables import ValidationError, read_table
+from .tables import ValidationError, read_feeder_hours, read_json, read_table
 
 PROFILE_COLUMNS = ("ngrid_id", "hour", "load_kw", "pv_kw")
 DERATE_COLUMNS = ("feeder_id", "hour", "factor")
@@ -85,8 +85,6 @@ def parse_plug_hours(spec) -> set[int]:
 
 def _profile(value, horizon: int, field: str) -> tuple[float, ...]:
     if isinstance(value, list):
-        if len(value) != horizon:
-            raise ValueError(f"{field}: profile length {len(value)} != horizon {horizon}")
         return tuple(_number(v, f"{field} hour {h}") for h, v in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
@@ -152,31 +150,6 @@ def _load_yaml(path):
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object, refusing a key that repeats within it instead of
-    keeping its last value."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ValidationError(f"repeated key {key!r}")
-            seen.add(key)
-    return doc
-
-
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _battery(doc, owner: str, soc_key: str, soc_default=None) -> StorageUnit:
     """A BESS or EV block's battery. Its starting SoC is field ``soc_key``,
     required unless ``soc_default`` is given."""
@@ -217,7 +190,7 @@ def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGri
 
 
 def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
-    doc = _load_json(fleet_path)
+    doc = read_json(fleet_path)
     if not isinstance(doc, dict) or "feeders" not in doc:
         raise ValidationError(f"{fleet_path}: expected a top-level 'feeders' list")
     profiles = load_profiles(profiles_path, horizon)
@@ -249,16 +222,6 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 
 
-def load_derate(path) -> dict[tuple[str, int], float]:
-    derate: dict[tuple[str, int], float] = {}
-    for rec in read_table(path, DERATE_COLUMNS, {"hour": int, "factor": float}.get):
-        key = (rec["feeder_id"], rec["hour"])
-        if key in derate:
-            raise ValidationError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
-        derate[key] = rec["factor"]
-    return derate
-
-
 def load_scenario(path) -> Scenario:
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
@@ -287,7 +250,7 @@ def load_scenario(path) -> Scenario:
     sor = load_sor_table(resolve("sor"))
     derate = None
     if doc.get("derate"):
-        derate = load_derate(os.path.join(base_dir, str(doc["derate"])))
+        derate = read_feeder_hours(os.path.join(base_dir, str(doc["derate"])), DERATE_COLUMNS)
     return Scenario(
         fleet=fleet,
         sor=sor,

@@ -271,18 +271,14 @@ def _outages(hits: np.ndarray, durations: list[int]) -> tuple[np.ndarray, np.nda
     (point, replication, feeder, start hour, length), in that order, and the
     islanded hours ``(P, R, F, H)``."""
     R, F, H = hits.shape
-    starts = np.zeros((len(durations), R, F, H), dtype=bool)
-    until = np.zeros(starts.shape[:3], dtype=np.intp)
+    starts = np.empty((len(durations), R, F, H), dtype=bool)
+    islanded = np.empty_like(starts)
+    until = np.zeros(starts.shape[:3], dtype=np.intp)  # the hour an outage ends
     ends = np.array(durations, dtype=np.intp)[:, None, None]
-    # Only an hour with a hit can start an outage, so only those are stepped.
-    for h in np.flatnonzero(hits.any(axis=(0, 1))).tolist():
+    for h in range(H):
         start = starts[..., h] = hits[..., h] & (until <= h)
         until = np.where(start, ends + h, until)
-    # An hour is islanded when an outage started less than a duration before.
-    count = np.cumsum(starts, axis=-1)
-    islanded = count > 0
-    for p, d in enumerate(durations):
-        islanded[p, ..., d:] = count[p, ..., d:] > count[p, ..., :-d]
+        islanded[..., h] = until > h
     at = np.nonzero(starts)
     lengths = np.minimum(ends.ravel()[at[0]], H - at[3])  # cut at the horizon
     return np.stack([*at, lengths], axis=1), islanded

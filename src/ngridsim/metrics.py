@@ -9,6 +9,7 @@ ROC AUC, F1, and PRC AUC, reported on a 0-1 scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 FM_WEIGHTS = (0.4, 0.3, 0.3)  # roc_auc, f1, prc_auc
@@ -70,6 +71,8 @@ def precision_recall_f1(samples: list[LabeledScore],
     """
     if not samples:
         raise ValueError("precision_recall_f1 needs at least one sample")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     tp = fp = fn = 0
     for s in samples:
         pred = 1 if s.score >= threshold else 0

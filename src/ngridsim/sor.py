@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .metrics import LabeledScore, MetricReport, metric_report
-from .tables import ValidationError, read_table, write_table
+from .tables import ValidationError, read_feeder_hours, read_json, read_table, write_table
 
 MODEL_FORMAT_VERSION = 1
 SOR_COLUMNS = ("feeder_id", "hour", "probability")
@@ -312,22 +312,17 @@ def build_sor_table(model: BoostedModel, rows: list[FeatureRow]) -> SorTable:
         if (r.feeder_id, r.hour) in entries:
             raise ValueError(f"duplicate row for feeder {r.feeder_id!r} hour {r.hour}")
         entries[r.feeder_id, r.hour] = p
-    if not entries:
-        raise ValueError("no rows to score")
     return SorTable(entries)
 
 
 def load_sor_table(path) -> SorTable:
-    """Read a ``feeder_id,hour,probability`` CSV into a validated table."""
-    entries: dict[tuple[str, int], float] = {}
-    for rec in read_table(path, SOR_COLUMNS, {"hour": int, "probability": float}.get):
-        key = (rec["feeder_id"], rec["hour"])
-        if key in entries:
-            raise ValueError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
-        entries[key] = rec["probability"]
-    if not entries:
-        raise ValueError(f"{path}: empty SoR table")
-    return SorTable(entries)
+    """Read a ``feeder_id,hour,probability`` CSV into a validated table; a
+    problem with its contents is reported after the file's name."""
+    entries = read_feeder_hours(path, SOR_COLUMNS)
+    try:
+        return SorTable(entries)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_sor_table(table: SorTable, path) -> None:
@@ -361,9 +356,8 @@ def load_model(path) -> BoostedModel:
             raise bad(name, "a finite number", value)
         return value
 
+    doc = read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValidationError(f"{path}: expected a JSON object at the top level")
         if (version := doc.get("format_version")) != MODEL_FORMAT_VERSION:
@@ -386,9 +380,6 @@ def load_model(path) -> BoostedModel:
                                 left_value=number(s, "left_value"),
                                 right_value=number(s, "right_value")))
         return BoostedModel(base_score, learning_rate, tuple(stumps))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        kind = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else "malformed JSON"
-        raise ValidationError(f"{path}: {kind}: {exc}") from None
     except KeyError as exc:
         raise ValidationError(f"{path}: {where}: missing field {exc.args[0]!r}") from None
     except (AttributeError, TypeError) as exc:

@@ -1,9 +1,12 @@
-"""The CSV format of every table the package reads or writes: a header row,
-LF line endings, floats written with 10 significant digits."""
+"""The file formats the package reads and writes. Tables are CSV: a header
+row, LF line endings, floats written with 10 significant digits. Fleet and
+model files are JSON, where a key may appear once per object: a repeated one
+is reported (the C decoder in ``json`` gives no position for a key)."""
 
 from __future__ import annotations
 
 import csv
+import json
 
 
 class ValidationError(ValueError):
@@ -42,6 +45,46 @@ def read_table(path, required, types):
                         raise ValidationError(f"{path}: line {reader.line_num}, "
                                               f"column {name!r}: {exc}") from None
                 yield rec
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_feeder_hours(path, columns) -> dict[tuple[str, int], float]:
+    """The ``columns`` ``(feeder_id, hour, value)`` CSV at ``path`` as
+    ``{(feeder_id, hour): value}``; a (feeder, hour) given twice is refused."""
+    entries: dict[tuple[str, int], float] = {}
+    feeder, hour, value = columns
+    for rec in read_table(path, columns, {hour: int, value: float}.get):
+        key = (rec[feeder], rec[hour])
+        if key in entries:
+            raise ValidationError(f"{path}: duplicate entry for feeder {key[0]!r} hour {key[1]}")
+        entries[key] = rec[value]
+    return entries
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refusing a key that repeats within it instead of
+    keeping its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
+def read_json(path):
+    """The JSON document at ``path``. A repeated key, malformed JSON or a
+    file that is not UTF-8 raises ValidationError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: malformed JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's algorithms: ROC AUC by explicit pair
 counting, average precision by explicit threshold sweeps, power balance
 recomputed from the outcome fields alone, each outage stream from its own
 ``np.random.default_rng``, outage sampling as a scan over every
-feeder-hour, and a replication that re-dispatches every disturbed n-Grid
+feeder-hour, a feeder's islanded hours as an exact distribution over every
+mask, and a replication that re-dispatches every disturbed n-Grid
 from hour 0 instead of resuming from the shadow.
 """
 
@@ -83,6 +84,41 @@ def sample_outages_scan(sor, repair_hours, horizon, rng_for_feeder):
                                           duration_hours=min(duration, horizon - h)))
                 active_until = h + duration
     return events
+
+
+def feeder_mask_probabilities(probabilities, duration):
+    """Every islanded-hour mask of one feeder with hourly outage
+    probabilities ``probabilities``, as a tuple of bools, mapped to its exact
+    probability under the suppression rule: an outage lasts ``duration``
+    hours and no outage starts while one is active. A dynamic program over
+    hours whose state is (mask so far, outage hours left); masks of
+    probability 0 are left out."""
+    states = {((), 0): 1.0}
+    for q in probabilities:
+        after = {}
+        for (mask, left), p in states.items():
+            branches = ([(True, left - 1, p)] if left else
+                        [(True, duration - 1, p * q), (False, 0, p * (1.0 - q))])
+            for islanded, hours_left, weight in branches:
+                if weight:
+                    key = (mask + (islanded,), hours_left)
+                    after[key] = after.get(key, 0.0) + weight
+        states = after
+    masks = {}
+    for (mask, _), p in states.items():
+        masks[mask] = masks.get(mask, 0.0) + p
+    return masks
+
+
+def mask_probabilities(probabilities, duration):
+    """:func:`feeder_mask_probabilities` of each row of ``probabilities``
+    ``(F, H)``, joined: feeders draw from independent streams, so a joint
+    mask, the feeders' masks end to end, has the product probability."""
+    joint = {(): 1.0}
+    for row in probabilities.tolist():
+        joint = {mask + own: p * q for mask, p in joint.items()
+                 for own, q in feeder_mask_probabilities(row, duration).items()}
+    return joint
 
 
 def islanded_masks(events, horizon):

@@ -196,6 +196,14 @@ class TestCliExitCodes:
         assert "roc_auc: 1.000000" in out
         assert "fm:      1.000000" in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_metrics_non_finite_threshold(self, tmp_path, capsys, threshold):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("label,score\n1,0.9\n0,0.2\n")
+        assert main(["metrics", "--scores", str(scores), "--threshold", threshold]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: threshold must be finite, got {threshold}\n"
+
     def test_metrics_bad_header(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("y,p\n1,0.9\n")
@@ -379,7 +387,7 @@ class TestLoaderErrors:
         ('"plug_hours": "0-6,19-23"', '"plug_hours": "9-3"',
          "n-Grid 'N1': plug hour range '9-3' is reversed"),
         ('"p_normal": 1.0', '"p_normal": [1.0, 1.0]',
-         "n-Grid 'N1': hvac p_normal: profile length 2 != horizon 24"),
+         "n-Grid 'N1' hvac p_normal length 2 != horizon 24"),
         ('"p_normal": 1.0', '"p_normal": "abc"',
          "n-Grid 'N1': hvac p_normal: expected a number or a list of 24 numbers"),
         ('"earliest": 9,', '"earliest": Infinity,',
@@ -592,8 +600,9 @@ class TestSorCli:
         ("misspelled kind", "stump #0: field 'kind' must be 'numeric' or 'categorical'"),
         ("NaN leaf", "stump #2: field 'right_value' must be a finite number, got nan"),
         ("numeric levels", "stump #1: field 'levels' must be a list of strings"),
+        ("repeated key", "model.json: repeated key 'learning_rate'"),
     ], ids=["no-stumps", "no-kind", "list", "bad-json", "null-threshold", "kind-Numeric",
-            "nan-leaf", "numeric-levels"])
+            "nan-leaf", "numeric-levels", "repeated-key"])
     def test_malformed_model(self, tmp_path, capsys, fault, named):
         """A bad model file ends in exit 1 naming the file, the stump and the field."""
         data = tmp_path / "train.csv"
@@ -617,12 +626,25 @@ class TestSorCli:
         elif fault == "numeric levels":
             doc["stumps"][1].update(kind="categorical", threshold=None, levels=[1, 2])
         text = json.dumps([doc] if fault == "top-level list" else doc)
+        if fault == "repeated key":
+            text = text.replace('"learning_rate": ', '"learning_rate": 0.5, "learning_rate": ')
         model.write_text(text.replace('"', "'", 2) if fault == "malformed JSON" else text)
         assert main(["sor", "eval", "--model", str(model), "--data", str(data)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and err.count("\n") == 1
         assert "model.json" in err and named in err
         assert "Traceback" not in err
+
+    def test_eval_non_finite_threshold(self, tmp_path, capsys):
+        data = tmp_path / "train.csv"
+        self.write_training_csv(data)
+        model = tmp_path / "model.json"
+        assert main(["sor", "train", "--data", str(data), "--out", str(model),
+                     "--stumps", "3"]) == 0
+        capsys.readouterr()
+        assert main(["sor", "eval", "--model", str(model), "--data", str(data),
+                     "--threshold", "nan"]) == 1
+        assert capsys.readouterr().err == "validation error: threshold must be finite, got nan\n"
 
     def test_feature_named_twice(self, tmp_path, capsys):
         """Columns ``gust`` and ``cat:gust`` both name feature ``gust``; here

@@ -1,3 +1,4 @@
+import collections
 import filecmp
 import itertools
 import math
@@ -25,8 +26,9 @@ from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               emit_report, run_replication, run_simulation,
                               sample_outages, sweep_reports, validate_scenario)
 from ngridsim.sor import SorTable
-from oracles import (feeder_rng, islanded_masks, replication_from_hour0,
-                     sample_outages_scan, simulation_from_hour0)
+from oracles import (feeder_rng, islanded_masks, mask_probabilities,
+                     replication_from_hour0, sample_outages_scan,
+                     simulation_from_hour0)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step, ramp_capacity)
 from test_cli import write_tiny_bundle
@@ -48,6 +50,25 @@ def single_ngrid_scenario(load=2.0, pv=0.0, bess=None, sor=None, **kw):
     if sor is None:
         sor = flat_sor(["F1"])
     return Scenario(fleet=fleet, sor=sor, horizon=H, **kw)
+
+
+def chi_square(observed, expected, n):
+    """Pearson's statistic of ``observed`` counts of ``n`` draws against
+    ``expected`` probabilities, per mask, and its degrees of freedom. Masks
+    expected below 5 draws are pooled into one cell, which joins the least
+    expected other cell when it too expects below 5. A mask drawn that has
+    probability 0 gives an infinite statistic."""
+    if any(key not in expected for key in observed):
+        return math.inf, 0
+    cells = sorted((n * p, observed.get(key, 0)) for key, p in expected.items())
+    small = [cell for cell in cells if cell[0] < 5]
+    cells = [cell for cell in cells if cell[0] >= 5]
+    rest = (sum(e for e, _ in small), sum(o for _, o in small))
+    if rest[0] >= 5 or not cells:
+        cells.append(rest)
+    else:
+        cells[0] = (cells[0][0] + rest[0], cells[0][1] + rest[1])
+    return sum((o - e) ** 2 / e for e, o in cells), len(cells) - 1
 
 
 def seed_words(n):
@@ -190,6 +211,40 @@ class TestSampleOutages:
                                 feeder_id, np.zeros(horizon, dtype=bool)).tolist()
                         seen_hour_23 |= any(ev.start_hour == H - 1 for ev in want)
         assert seen_hour_23
+
+    def test_pass_draws_exact_mask_distribution(self):
+        """Over 20,000 replications of random 2-3-feeder tables, risky on at
+        most 6 feeder-hours in a 6-hour window, the pass's joint islanded
+        masks at each repair time follow the suppression rule's exact
+        distribution: the chi-square statistic stays within dof + 6
+        sqrt(2 dof). The same draw exceeds that bound against the
+        distributions of the next hour's risk and of 0.9 times the risk, so
+        the test can fail."""
+        rng = random.Random("mask-distribution")
+        n, durations = 20_000, [1, 2, 3]
+        for case in range(6):
+            feeders = [f"F{k}" for k in range(rng.randint(2, 3))]
+            first = rng.randint(0, H - 6)
+            risky = rng.sample([(f, h) for f in feeders for h in range(first, first + 6)],
+                               rng.randint(1, 6))
+            entries = {(f, h): 0.0 for f in feeders for h in range(H)}
+            entries.update({key: 1.0 if rng.random() < 1 / 6 else rng.uniform(0.05, 0.6)
+                            for key in risky})
+            sor = SorTable(entries)
+            hits = harness._uniforms(case, range(n), sor.feeder_ids, H) < sor.probabilities
+            _, islanded = harness._outages(hits, durations)
+            for p, d in enumerate(durations):
+                # Each replication's joint mask, its feeders' masks end to end, as bytes.
+                observed = collections.Counter(
+                    map(bytes, np.packbits(islanded[p].reshape(n, -1), axis=1)))
+                for table, fits in ((sor.probabilities, True),
+                                    (np.roll(sor.probabilities, -1, axis=1), False),
+                                    (0.9 * sor.probabilities, False)):
+                    expected = {np.packbits(mask).tobytes(): prob
+                                for mask, prob in mask_probabilities(table, d).items()}
+                    assert abs(math.fsum(expected.values()) - 1.0) <= 1e-12
+                    stat, dof = chi_square(observed, expected, n)
+                    assert (stat <= dof + 6 * math.sqrt(2 * dof)) == fits, (case, d, stat, dof)
 
     def test_empirical_frequency(self):
         sor = flat_sor(["F1"], overrides={("F1", 0): 0.3})

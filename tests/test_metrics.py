@@ -72,6 +72,19 @@ class TestPrecisionRecallF1:
         with pytest.raises(ValueError):
             precision_recall_f1([])
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_raises(self, threshold):
+        """A NaN threshold would predict nothing and an infinite one all or
+        nothing, silently: each is refused, naming the threshold."""
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            precision_recall_f1(samples([1, 0], [0.9, 0.1]), threshold)
+
+    def test_threshold_outside_unit_interval(self):
+        """A finite threshold outside [0, 1] predicts all or nothing."""
+        assert precision_recall_f1(samples([1, 0], [0.9, 0.1]), 1.5) == (0.0, 0.0, 0.0)
+        assert precision_recall_f1(samples([1, 0], [0.9, 0.1]), -0.5) == \
+            pytest.approx((0.5, 1.0, 2 / 3))
+
 
 class TestPrcAuc:
     def test_all_positives_first(self):

@@ -363,6 +363,21 @@ class TestSorTable:
         with pytest.raises(ValueError, match=re.escape(message)):
             SorTable(entries)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("F1,0,0.1\nF1,1,1.5\n", "probability 1.5 out of [0, 1] for feeder 'F1' hour 1"),
+        ("F1,0,0.1\nF1,1,nan\n", "probability nan out of [0, 1] for feeder 'F1' hour 1"),
+        ("F1,0,0.1\nF1,2,0.1\n", "SoR table missing entry for feeder 'F1' hour 1"),
+        ("F1,0,0.1\nF1,-1,0.1\n", "SoR table has entry outside scenario: feeder 'F1' hour -1"),
+        ("", "empty SoR table"),
+    ], ids=["above-one", "nan", "missing", "negative-hour", "empty"])
+    def test_load_names_file(self, tmp_path, rows, message):
+        """Each of the table's problems, read from a CSV, is named after the file."""
+        path = tmp_path / "sor.csv"
+        path.write_text("feeder_id,hour,probability\n" + rows)
+        with pytest.raises(ValidationError) as caught:
+            load_sor_table(path)
+        assert str(caught.value) == f"{path}: {message}"
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         rows = separable_rows(60, seed=9, noise=0.1)
