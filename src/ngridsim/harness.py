@@ -26,15 +26,27 @@ every row's state equals the shadow's; each hour steps the live rows in at
 most two kernel calls, one islanded and one connected. A pattern's change
 at a stepped hour is its load, ENS and spill summed over the feeder's
 n-Grids in fleet order from 0.0, less the shadow's feeder totals, and at
-an islanded hour minus the feeder's ramp. A replication's series is the
-shadow's baseline plus each disturbed feeder's change in feeder order; a
-change of 0.0 keeps every bit, so results are bit-identical to a
-from-hour-0 re-dispatch summed by the same rule, whatever the batches.
+an islanded hour minus the feeder's ramp.
 
-A pass draws every block, keeping its outages and pattern ids; steps each
-distinct pattern once, in ``ROW_BUDGET`` batches; then adds and folds
-block by block into one sum per repair time (:func:`_fold` adds left to
-right, so every bit is kept). It keeps no replication's series.
+A repair time's mean series is the shadow's baseline plus, over the
+distinct patterns in key order (feeder index, then islanded hours read
+from hour 0), each pattern's count x change added left to right from 0.0,
+over the replications. A replication's ENS and spill is its patterns' day
+totals, added in feeder order from 0.0. A zero count adds 0.0, which keeps
+every bit, so a repair time's results do not depend on the other repair
+times, the batches or the draw blocks, and equal by bytes a from-hour-0
+re-dispatch summed by the same rule. Against the mean of each
+replication's series, re-dispatched and summed one by one, only float sums
+are reordered: the series agree within 1e-9 relative.
+
+A pass runs in two phases. Draw and key: per draw block, each disturbed
+(repair time, replication, feeder) gets one fixed-width byte key, the
+feeder index as big-endian ``>u4`` and then its islanded hours packed from
+hour 0, and one ``np.unique`` over the pass's keys gives each its pattern.
+Step and weigh: each distinct pattern is stepped once, in ``ROW_BUDGET``
+batches, and each batch's count x change is added into one sum per repair
+time before the batch is dropped. The pass keeps no replication's series
+and no table of the patterns' changes.
 """
 
 from __future__ import annotations
@@ -437,52 +449,66 @@ def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
                  indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per repair time ``repair_values[p]``: the sum ``(P, 8, H)`` of the
-    replications' series, each as ``_Shadow.baseline``, from 0.0 in order;
+    """Per repair time ``repair_values[p]``: the mean ``(P, 8, H)`` of the
+    replications' series, ``_Shadow.baseline`` plus the sum over patterns
+    of count x change, from 0.0 in key order, over ``len(indices)``;
     replication ``indices[r]``'s ENS and spill over the day, ``(P, R, 2)``;
     and its :func:`_outages` rows, ``r`` counted over the pass. A pass draws
-    its blocks of about ``DRAW_BLOCK`` streams, steps each distinct pattern
-    once, in the order met, then adds and folds block by block."""
+    and keys its blocks of about ``DRAW_BLOCK`` streams, then steps each
+    distinct pattern once, in key order, and weighs it by its counts."""
     H = scenario.horizon
     feeder_ids = scenario.sor.feeder_ids
     durations = [_duration(value) for value in repair_values]
+    P, R = len(durations), len(indices)
     block = max(1, DRAW_BLOCK // len(feeder_ids))
-    blocks = range(0, len(indices), block)
-    # Draw: each disturbed (repair time, replication, feeder)'s pattern id,
-    # keyed by (feeder index, islanded hours); id 0, no outage, changes none.
-    pattern_ids, outages = {}, []
-    ids = np.zeros((len(durations), len(indices), len(feeder_ids)), dtype=np.intp)
-    for r0 in blocks:
+    # Draw and key: each disturbed (repair time, replication, feeder)'s run
+    # p * R + r and its key, the feeder index as big-endian ``>u4`` and then
+    # its islanded hours packed from hour 0, so keys sort by feeder, then mask.
+    outages, runs, keys = [], [], []
+    for r0 in range(0, R, block):
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
                          H) < scenario.sor.probabilities[:, :H]
         rows, islanded = _outages(hits, durations)
         rows[:, 1] += r0
         outages.append(rows)
-        for r, p, f in zip(*(a.tolist() for a in np.nonzero(
-                islanded.any(axis=-1).transpose(1, 0, 2)))):
-            ids[p, r0 + r, f] = pattern_ids.setdefault(
-                (f, islanded[p, r, f].tobytes()), len(pattern_ids) + 1)
-    # Step: each id's change to series rows 0, 2, 3, 5 and 7.
-    table = np.zeros((len(pattern_ids) + 1, 5, H))
-    keys = list(pattern_ids)
+        p, r, f = np.nonzero(islanded.any(axis=-1))
+        runs.append(p * R + r0 + r)
+        keys.append(np.concatenate([f.astype(">u4").view(np.uint8).reshape(-1, 4),
+                                    np.packbits(islanded[p, r, f], axis=-1)], axis=1))
+    keys = np.concatenate(keys)
+    width = keys.shape[1]
+    patterns, ids = np.unique(keys.view(f"V{width}").ravel(), return_inverse=True)
+    patterns = patterns.view(np.uint8).reshape(-1, width)
+    feeders = np.ascontiguousarray(patterns[:, :4]).view(">u4").ravel().tolist()
+    masks = np.unpackbits(patterns[:, 4:], axis=1, count=H).astype(bool)
+    runs = np.concatenate(runs)
+    K = len(masks)
+    counts = np.bincount(runs // R * K + ids, minlength=P * K).reshape(P, K)
+    # Step and weigh: each batch's count x change added onto the running sums
+    # left to right in key order (``np.cumsum`` along the batch, the sum put
+    # into its first row), each pattern's day ENS and spill kept, and the
+    # batch dropped before the next is stepped.
+    sums = np.zeros((P, 5, H))
+    day = np.empty((K, 2))
     first, queued = 0, 0
-    for k, (f, _) in enumerate(keys):
+    for k, f in enumerate(feeders):
         queued += len(shadow.feeder_rows[feeder_ids[f]])
-        if queued >= ROW_BUDGET or k == len(keys) - 1:
-            table[first + 1:k + 2] = _step_patterns(shadow, [
-                (feeder_ids[i], np.frombuffer(mask, dtype=bool)) for i, mask in keys[first:k + 1]])
+        if queued >= ROW_BUDGET or k == K - 1:
+            change = _step_patterns(shadow, [(feeder_ids[i], mask) for i, mask in
+                                             zip(feeders[first:k + 1], masks[first:k + 1])])
+            day[first:k + 1] = change[:, 1:3].sum(axis=-1)
+            for p, weights in enumerate(counts[:, first:k + 1]):
+                weighed = weights[:, None, None] * change
+                weighed[0] += sums[p]
+                sums[p] = np.cumsum(weighed, axis=0)[-1]
+            del change, weighed
             first, queued = k + 1, 0
-    # Add: a replication without feeder f adds pattern 0's change, 0.0: no bit moves.
-    total = np.zeros((len(durations), 8, H))
-    energy = np.empty((len(durations), len(indices), 2))
-    for r0 in blocks:
-        block_ids = ids[:, r0:r0 + block]
-        runs = np.tile(shadow.baseline, (*block_ids.shape[:2], 1, 1))
-        for f in np.flatnonzero(block_ids.any(axis=(0, 1))).tolist():
-            runs[:, :, [0, 2, 3, 5, 7]] += table[block_ids[:, :, f]]
-        total = _fold(total, np.moveaxis(runs, 1, -1))
-        energy[:, r0:r0 + block] = runs[:, :, 2:4].sum(axis=-1)
-    return total, energy, np.concatenate(outages)
+    mean = np.tile(shadow.baseline, (P, 1, 1))
+    mean[:, [0, 2, 3, 5, 7]] += sums / R
+    # A replication's ENS and spill: its patterns' days, added from 0.0 in
+    # feeder order (the order ``np.nonzero`` gives each run's triples).
+    energy = np.stack([np.bincount(runs, w, P * R) for w in day[ids].T], axis=-1)
+    return mean, energy.reshape(P, R, 2), np.concatenate(outages)
 
 
 def check_repair_values(repair_values: list[float]) -> None:
@@ -512,9 +538,9 @@ def run_replication(scenario: Scenario,
     totals plus the outage log for one replication: the Monte Carlo pass of
     :func:`sweep_reports` on this replication and repair time alone."""
     _validate(scenario, [scenario.repair_hours])
-    total, _, outages = _monte_carlo(scenario, compute_shadow(scenario),
+    means, _, outages = _monte_carlo(scenario, compute_shadow(scenario),
                                      [scenario.repair_hours], [replication_index])
-    return FleetSeries(*total[0]), _events(outages, scenario.sor.feeder_ids)
+    return FleetSeries(*means[0]), _events(outages, scenario.sor.feeder_ids)
 
 
 def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
@@ -528,14 +554,14 @@ def sweep_reports(scenario: Scenario,
                   repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
     """One (repair_hours, report) pair per repair time, with identical
     seeds, so only the outage durations change. Every point shares one
-    shadow and one Monte Carlo pass; each point's replications are summed
-    in index order and averaged element-wise."""
+    shadow and one Monte Carlo pass, which weighs each distinct pattern's
+    change by how often the point's replications drew it."""
     _validate(scenario, repair_values)
-    total, energy, outages = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
+    means, energy, outages = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
                                           range(scenario.replications))
     reports = []
     for p, value in enumerate(repair_values):
-        mean = FleetSeries(*(total[p] * (1.0 / scenario.replications)))
+        mean = FleetSeries(*means[p])
         _, rep, f, start, length = outages[outages[:, 0] == p].T
         reports.append((value, SimulationReport(
             mean_series=mean,

@@ -64,18 +64,18 @@ def random_islanded_case(rng: random.Random):
 
 
 def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
-                 max_evs: int = 2) -> Fleet:
-    """A small fleet of whole-day n-Grids: BESS and EVs with efficiencies
-    below 1 and power limits low enough that some never refill, up to
-    ``max_evs`` EVs per n-Grid that arrive mid-day, per-hour HVAC, and
-    deferrable tasks. ``Fleet.ngrids`` is shuffled, so the feeders' n-Grids
-    interleave in fleet order."""
+                 max_evs: int = 2, horizon: int = H) -> Fleet:
+    """A small fleet of n-Grids with ``horizon``-hour profiles: BESS and EVs
+    with efficiencies below 1 and power limits low enough that some never
+    refill, up to ``max_evs`` EVs per n-Grid that arrive mid-day, per-hour
+    HVAC, and deferrable tasks. ``Fleet.ngrids`` is shuffled, so the
+    feeders' n-Grids interleave in fleet order."""
     feeders, ngrids = [], []
     for f in range(n_feeders):
         feeders.append(f"F{f}")
         for n in range(ngrids_per_feeder):
             peak = rng.uniform(0.0, 9.0)
-            pv = [max(0.0, peak * (1.0 - abs(h - 12.5) / 6.0)) for h in range(H)]
+            pv = [max(0.0, peak * (1.0 - abs(h - 12.5) / 6.0)) for h in range(horizon)]
             bess = None
             if rng.random() < 0.7:
                 cap = rng.uniform(2.0, 15.0)
@@ -85,25 +85,25 @@ def random_fleet(rng: random.Random, n_feeders: int, ngrids_per_feeder: int,
             evs = []
             for _ in range(rng.randrange(0, max_evs + 1)):
                 cap = rng.uniform(5.0, 60.0)
-                leave, back = rng.randrange(0, 12), rng.randrange(12, H)
+                leave, back = rng.randrange(0, 12), rng.randrange(12, horizon)
                 p_max, eta_c, eta_d = (rng.uniform(1.0, 8.0), rng.uniform(0.85, 1.0),
                                        rng.uniform(0.85, 1.0))
                 evs.append(ElectricVehicle(
                     battery=StorageUnit(cap, p_max, rng.uniform(0.0, cap),
                                         eta_charge=eta_c, eta_discharge=eta_d),
-                    plug_hours=frozenset(range(leave)) | frozenset(range(back, H))))
+                    plug_hours=frozenset(range(leave)) | frozenset(range(back, horizon))))
             hvac = None
             if rng.random() < 0.6:
-                norm = [rng.uniform(0.5, 3.0) for _ in range(H)]
+                norm = [rng.uniform(0.5, 3.0) for _ in range(horizon)]
                 hvac = HvacAsset(norm, [rng.uniform(0.0, x) for x in norm])
             tasks = []
             for _ in range(rng.randrange(0, 3)):
-                earliest = rng.randrange(0, H)
+                earliest = rng.randrange(0, horizon)
                 tasks.append(DeferrableTask(rng.uniform(0.5, 4.0), rng.uniform(0.3, 2.0),
-                                            earliest, rng.randrange(earliest, H)))
+                                            earliest, rng.randrange(earliest, horizon)))
             ngrids.append(NGrid(
                 id=f"N{f}-{n}", feeder_id=f"F{f}",
-                base_load=[rng.uniform(0.0, 5.0) for _ in range(H)],
+                base_load=[rng.uniform(0.0, 5.0) for _ in range(horizon)],
                 pv=pv, bess=bess, evs=tuple(evs), hvac=hvac,
                 deferrables=tuple(tasks)))
     rng.shuffle(ngrids)

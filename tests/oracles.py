@@ -6,18 +6,20 @@ recomputed from the outcome fields alone, each outage stream from its own
 ``np.random.default_rng``, outage sampling as a scan over every
 feeder-hour, a feeder's islanded hours as an exact distribution over every
 mask, and a replication that re-dispatches every disturbed n-Grid
-from hour 0 instead of resuming from the shadow.
+from hour 0 instead of resuming from the shadow, each distinct pattern's
+change weighed by how often it was drawn.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import zlib
 
 import numpy as np
 
-from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
-                              SimulationReport, sample_outages)
+from ngridsim.harness import (FleetSeries, OutageEvent, SimulationReport,
+                              sample_outages)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step)
 
@@ -130,57 +132,83 @@ def islanded_masks(events, horizon):
     return sorted(masks.items())
 
 
+def replication_patterns(scenario, replication_index):
+    """One replication's events, and its disturbed feeders' (feeder index,
+    islanded hours as a tuple) patterns in feeder order."""
+    events = sample_outages(
+        scenario.sor, scenario.repair_hours, scenario.horizon,
+        lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
+    return events, sorted((scenario.sor.feeder_ids.index(f), tuple(mask.tolist()))
+                          for f, mask in islanded_masks(events, scenario.horizon))
+
+
+def feeder_change(scenario, shadow, pattern):
+    """The change ``(5, H)`` that a (feeder index, mask) pattern makes to
+    the series rows load, ENS, spill, ``ru_avail`` and ``rd_avail``: every
+    n-Grid on the feeder dispatched from its initial state through every
+    hour, islanded where the mask is set, its load, ENS and spill summed
+    from 0.0 in fleet order, the load less the shadow's feeder load, and at
+    islanded hours minus the feeder's ramp totals. At an hour where the
+    re-dispatch repeats the shadow the change is 0.0."""
+    feeder_id, mask = scenario.sor.feeder_ids[pattern[0]], pattern[1]
+    policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
+    change = np.zeros((5, scenario.horizon))
+    for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
+        state = initial_state(ngrid)
+        for h in range(scenario.horizon):
+            if mask[h]:
+                outcome, state = islanded_step(ngrid, state, h)
+            else:
+                outcome, state = connected_step(ngrid, state, h, policy)
+            change[0, h] += outcome.served_load_kw + outcome.ens_kw
+            change[1, h] += outcome.ens_kw
+            change[2, h] += outcome.spilled_kw
+    load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
+    change[0] -= load
+    change[3:] = np.where(mask, -np.array([ru_kw, rd_kw]), 0.0)
+    return change
+
+
+def weighed_mean(shadow, counts, changes, replications):
+    """The mean series: the shadow's baseline plus, over the patterns of
+    ``counts`` in sorted order, each count x change summed from 0.0, over
+    ``replications``."""
+    total = np.zeros((5, shadow.baseline.shape[1]))
+    for pattern in sorted(counts):
+        total = total + counts[pattern] * changes[pattern]
+    series = shadow.baseline.copy()
+    series[[0, 2, 3, 5, 7]] += total / replications
+    return FleetSeries(*series)
+
+
 def replication_from_hour0(scenario, replication_index, shadow):
     """One replication with every n-Grid on a disturbed feeder dispatched
     from its initial state through every hour; returns (series, events) like
-    ``harness.run_replication``. The series is the shadow's baseline plus,
-    per disturbed feeder in id order, its n-Grids' load, ENS and spill summed
-    from 0.0 in fleet order less the shadow's feeder totals, and less its
-    ramp totals at islanded hours. At an hour where the re-dispatch repeats
-    the shadow that change is 0.0, which keeps the baseline's bits."""
-    H = scenario.horizon
-    events = sample_outages(
-        scenario.sor, scenario.repair_hours, H,
-        lambda fid: feeder_rng(scenario.master_seed, replication_index, fid))
-
-    series = FleetSeries(*shadow.baseline.copy())
-
-    policy = PrechargePolicy(mode=scenario.precharge, sor=scenario.sor)
-    for feeder_id, mask in islanded_masks(events, H):
-        load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
-        series.ru_avail_kw -= np.where(mask, ru_kw, 0.0)
-        series.rd_avail_kw -= np.where(mask, rd_kw, 0.0)
-        feeder_load, ens, spilled = np.zeros((3, H))
-        for ngrid in (ng for ng in scenario.fleet.ngrids if ng.feeder_id == feeder_id):
-            state = initial_state(ngrid)
-            for h in range(H):
-                if mask[h]:
-                    outcome, state = islanded_step(ngrid, state, h)
-                else:
-                    outcome, state = connected_step(ngrid, state, h, policy)
-                feeder_load[h] += outcome.served_load_kw + outcome.ens_kw
-                ens[h] += outcome.ens_kw
-                spilled[h] += outcome.spilled_kw
-        series.load_kw += feeder_load - load
-        series.ens_kw += ens
-        series.spilled_kw += spilled
-    return series, events
+    ``harness.run_replication``: the shadow's baseline plus each disturbed
+    feeder's :func:`feeder_change`, summed from 0.0 in feeder order. At an
+    hour where no re-dispatch leaves the shadow the series keeps the
+    baseline's bits."""
+    events, patterns = replication_patterns(scenario, replication_index)
+    changes = {pattern: feeder_change(scenario, shadow, pattern) for pattern in patterns}
+    return weighed_mean(shadow, dict.fromkeys(patterns, 1), changes, 1), events
 
 
 def simulation_from_hour0(scenario, shadow):
-    """``harness.run_simulation``'s report from :func:`replication_from_hour0`
-    run for each replication in index order."""
-    total = np.zeros((len(SERIES_FIELDS), scenario.horizon))
-    outages, per_rep_ens, per_rep_spilled = [], [], []
-    for i in range(scenario.replications):
-        series, events = replication_from_hour0(scenario, i, shadow)
-        total += [getattr(series, name) for name in SERIES_FIELDS]
-        outages += [(i, ev.feeder_id, ev.start_hour, ev.duration_hours) for ev in events]
-        per_rep_ens.append(float(series.ens_kw.sum()) / 1000.0)
-        per_rep_spilled.append(float(series.spilled_kw.sum()) / 1000.0)
-    mean = FleetSeries(*(total * (1.0 / scenario.replications)))
+    """``harness.run_simulation``'s report from the patterns of every
+    replication in index order: the mean series weighs each pattern's
+    :func:`feeder_change` by how many replications drew it, and a
+    replication's ENS and spill is each of its patterns' day totals,
+    ``change[1:3].sum(-1)``, added in feeder order from 0.0."""
+    logs = [replication_patterns(scenario, i) for i in range(scenario.replications)]
+    counts = collections.Counter(pattern for _, patterns in logs for pattern in patterns)
+    changes = {pattern: feeder_change(scenario, shadow, pattern) for pattern in counts}
+    mean = weighed_mean(shadow, counts, changes, scenario.replications)
+    outages = [(i, ev.feeder_id, ev.start_hour, ev.duration_hours)
+               for i, (events, _) in enumerate(logs) for ev in events]
     columns = tuple(np.array(column) for column in zip(*outages)) or (np.array([]),) * 4
+    energy = np.array([sum((changes[pattern][1:3].sum(-1) for pattern in patterns), np.zeros(2))
+                       for _, patterns in logs]) / 1000.0
     return SimulationReport(mean, float(mean.ens_kw.sum()) / 1000.0,
                             float(mean.spilled_kw.sum()) / 1000.0,
                             float(mean.ru_total_kw.max()), columns,
-                            np.array(per_rep_ens), np.array(per_rep_spilled))
+                            energy[:, 0].copy(), energy[:, 1].copy())

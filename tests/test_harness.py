@@ -26,8 +26,8 @@ from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               emit_report, run_replication, run_simulation,
                               sample_outages, sweep_reports, validate_scenario)
 from ngridsim.sor import SorTable
-from oracles import (feeder_rng, islanded_masks, mask_probabilities,
-                     replication_from_hour0, sample_outages_scan,
+from oracles import (feeder_mask_probabilities, feeder_rng, islanded_masks,
+                     mask_probabilities, replication_from_hour0, sample_outages_scan,
                      simulation_from_hour0)
 from scalar_dispatch import (PrechargePolicy, connected_step, initial_state,
                              islanded_step, ramp_capacity)
@@ -530,8 +530,10 @@ class TestIncrementalReplication:
 class TestUndisturbedHours:
     """A replication's series keeps the shadow baseline's bits wherever its
     stepped hours change nothing: PV at every hour, and every series at
-    each hour before its first outage starts. A pass of one replication
-    index sums its series from 0.0, which keeps its bits."""
+    each hour before its first outage starts. ``_monte_carlo`` over one
+    replication index returns that replication's series as its mean: the
+    baseline plus its patterns' changes, summed from 0.0, over 1, which adds
+    0.0 wherever no pattern changes an hour."""
 
     @staticmethod
     def assert_baseline_kept(scenario, replications):
@@ -541,9 +543,9 @@ class TestUndisturbedHours:
         values = [1.0, 2.5, 4.0]
         late = 0
         for r in range(replications):
-            total, _, outages = harness._monte_carlo(scenario, shadow, values, [r])
+            means, _, outages = harness._monte_carlo(scenario, shadow, values, [r])
             for p, value in enumerate(values):
-                got = total[p]
+                got = means[p]
                 assert got[1].tobytes() == shadow.baseline[1].tobytes(), (value, r)
                 first = min(outages[outages[:, 0] == p, 3].tolist(), default=H)
                 assert got[:, :first].tobytes() == shadow.baseline[:, :first].tobytes(), \
@@ -842,6 +844,98 @@ def test_pass_memory_flat_in_replications(monkeypatch):
     large, reports = peak(8192)
     assert (large - small) / (8192 - 512) < len(SERIES_FIELDS) * H * 8
     assert all(len(report.outages[0]) > 8192 for _, report in reports)
+
+
+def test_pass_memory_flat_in_patterns(monkeypatch):
+    """A pass keeps no table of its patterns' changes: on a fleet where
+    nearly every drawn pattern is new (8 feeders of one n-Grid, 72 hours at
+    risk 0.04 each, repair 1 h), peak traced memory grows by less than one
+    table row (5 x H float64s) per added distinct pattern between 512 and
+    4,096 replications. Draw blocks of 256 streams and batches of 1,024
+    rows keep the per-block and per-batch arrays small beside that growth,
+    and both runs fill whole batches."""
+    monkeypatch.setattr(harness, "DRAW_BLOCK", 256)
+    monkeypatch.setattr(harness, "ROW_BUDGET", 1024)
+    horizon = 72
+    fleet = random_fleet(random.Random(31), n_feeders=8, ngrids_per_feeder=1, horizon=horizon)
+    sor = SorTable({(f, h): 0.04 for f in fleet.feeders for h in range(horizon)})
+    scenario = Scenario(fleet=fleet, sor=sor, horizon=horizon, master_seed=31)
+
+    def peak(replications):
+        tracemalloc.start()
+        try:
+            report = run_simulation(replace(scenario, replications=replications))
+            return tracemalloc.get_traced_memory()[1], report
+        finally:
+            tracemalloc.stop()
+
+    def distinct_patterns(report):
+        """(feeder, outage start hours) per disturbed (replication, feeder):
+        at a repair time of 1 h the start hours are the islanded hours."""
+        starts = {}
+        for rep, f, start, _ in zip(*(column.tolist() for column in report.outages)):
+            starts.setdefault((rep, f), []).append(start)
+        return len({(f, tuple(hours)) for (_, f), hours in starts.items()})
+
+    small, small_report = peak(512)
+    large, large_report = peak(4096)
+    added = distinct_patterns(large_report) - distinct_patterns(small_report)
+    assert distinct_patterns(small_report) > 1024 and added > 20000
+    assert (large - small) / added < 5 * horizon * 8
+
+
+@pytest.mark.parametrize("precharge", ["full", "sor"])
+def test_mean_matches_exact_series(precharge):
+    """The Monte Carlo mean of 2,000 replications against the exact mean
+    of every series-hour. Per feeder, every islanded-hour mask of
+    ``feeder_mask_probabilities`` is stepped with ``_step_patterns``;
+    feeders draw independently, so the exact mean and variance of a
+    series-hour are sums over feeders of sum p * c and
+    sum p * c**2 - (sum p * c)**2 over the masks' changes c. Every
+    series-hour is within 4 standard errors, and one of variance 0 equals
+    the exact mean."""
+    rng = random.Random("exact")
+    fleet = random_fleet(rng, n_feeders=3, ngrids_per_feeder=3)
+    entries = {(f, h): 0.0 for f in fleet.feeders for h in range(H)}
+    for f in fleet.feeders:
+        entries.update({(f, h): 0.25 for h in rng.sample(range(H), rng.choice([2, 3]))})
+    scenario = Scenario(fleet=fleet, sor=SorTable(entries), horizon=H, repair_hours=2.0,
+                        replications=2000, master_seed=11, precharge=precharge)
+    shadow = compute_shadow(scenario)
+    mean, var = shadow.baseline.copy(), np.zeros((len(SERIES_FIELDS), H))
+    changed = [0, 2, 3, 5, 7]  # load, ENS, spill, ru_avail and rd_avail
+    for f, risk in zip(scenario.sor.feeder_ids, scenario.sor.probabilities[:, :H].tolist()):
+        masks = {mask: p for mask, p in feeder_mask_probabilities(risk, 2).items() if any(mask)}
+        change = harness._step_patterns(shadow, [(f, np.array(mask)) for mask in masks])
+        p = np.array(list(masks.values()))[:, None, None]
+        first = (p * change).sum(axis=0)
+        mean[changed] += first
+        var[changed] += (p * change ** 2).sum(axis=0) - first ** 2
+    report = run_simulation(scenario)
+    got = np.array([getattr(report.mean_series, name) for name in SERIES_FIELDS])
+    exact = var == 0.0
+    assert got[exact].tobytes() == mean[exact].tobytes()
+    z = (got[~exact] - mean[~exact]) / np.sqrt(var[~exact] / scenario.replications)
+    assert (~exact).sum() > H and np.abs(z).max() < 4.0, np.abs(z).max()
+
+
+@pytest.mark.parametrize("precharge", ["full", "sor"])
+@pytest.mark.parametrize("seed", range(3))
+def test_keys_wider_than_63_bits(seed, precharge):
+    """A 72-hour day: a pattern's key, 32 feeder bits and 72 mask bits,
+    is wider than an int64, and F0 often fails after hour 63. The report
+    equals the from-hour-0 one by bytes."""
+    horizon = 72
+    rng = random.Random(f"wide-{seed}")
+    fleet = random_fleet(rng, n_feeders=3, ngrids_per_feeder=2, horizon=horizon)
+    entries = {(f, h): rng.uniform(0.0, 0.06) for f in fleet.feeders for h in range(horizon)}
+    entries[("F0", 68)] = 0.5
+    scenario = Scenario(fleet=fleet, sor=SorTable(entries), horizon=horizon,
+                        repair_hours=rng.choice([1.0, 2.5, 4.0]), replications=8,
+                        master_seed=seed, precharge=precharge)
+    want = simulation_from_hour0(scenario, compute_shadow(scenario))
+    assert (want.outages[2] > 63).any()
+    assert_same_report(run_simulation(scenario), want)
 
 
 def test_simulate_leaves_numpy_random_unloaded(tmp_path):
