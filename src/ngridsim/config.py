@@ -13,7 +13,9 @@ object: a repeated one is reported, with its line in YAML (JSON files are
 read by :func:`ngridsim.tables.read_json`). The loaders check form;
 :func:`ngridsim.fleet.validate_fleet` checks values, such as an HVAC
 profile's length, and :func:`load_scenario` reports its problems after the
-fleet file's name.
+fleet file's name. :func:`ngridsim.harness.setting_problems` checks the
+scenario's settings, which :func:`load_scenario` reports after the
+scenario file's name and the file's key for each.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import yaml
 
 from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit,
                     validate_fleet)
-from .harness import Scenario
+from .harness import Scenario, setting_problems
 from .sor import load_sor_table
 from .tables import ValidationError, read_feeder_hours, read_json, read_table
 
@@ -251,7 +253,7 @@ def load_scenario(path) -> Scenario:
     derate = None
     if doc.get("derate"):
         derate = read_feeder_hours(os.path.join(base_dir, str(doc["derate"])), DERATE_COLUMNS)
-    return Scenario(
+    scenario = Scenario(
         fleet=fleet,
         sor=sor,
         horizon=horizon,
@@ -262,3 +264,9 @@ def load_scenario(path) -> Scenario:
         derate=derate,
         precharge=scalar("precharge", str),
     )
+    # A setting out of range is named by this file's key for it.
+    if problems := setting_problems(scenario):
+        raise ValidationError(f"{path}: " + "; ".join(
+            f"field {('seed' if name == 'master_seed' else name)!r}: {problem}"
+            for name, problem in problems))
+    return scenario

@@ -6,8 +6,9 @@ feeder_id): each feeder draws one uniform per hour from its own PCG64
 stream, seeded through ``SeedSequence`` from the seed, the replication and
 the CRC-32 of the feeder id, so adding feeders or changing the repair time
 never perturbs another feeder's draws. A hit starts an outage only while
-none is active, which keeps outage *starts* identical across repair-time
-sweep points. A Monte Carlo pass draws each stream once, a block of
+none is active. Every repair time of a sweep reads the same draws, so a
+longer repair suppresses later hits: the points share their draws, not
+their outage starts. A Monte Carlo pass draws each stream once, a block of
 replications at a time (:func:`_uniforms` runs ``SeedSequence`` and PCG64
 in uint64 array arithmetic, bit for bit ``np.random.default_rng``, whose
 oracle is ``feeder_rng`` in ``tests/oracles.py``), and derives every
@@ -39,10 +40,12 @@ re-dispatch summed by the same rule. Against the mean of each
 replication's series, re-dispatched and summed one by one, only float sums
 are reordered: the series agree within 1e-9 relative.
 
-A pass runs in two phases. Draw and key: per draw block, each disturbed
-(repair time, replication, feeder) gets one fixed-width byte key, the
+A pass names a feeder by its row in ``sor.feeder_ids``, its feeder index,
+from draw to report. Draw and key: per draw block, each repair time gets
+its outage rows (replication, feeder, start hour, length), and each
+disturbed (repair time, replication, feeder) one fixed-width byte key, the
 feeder index as big-endian ``>u4`` and then its islanded hours packed from
-hour 0, and one ``np.unique`` over the pass's keys gives each its pattern.
+hour 0; one ``np.unique`` over the pass's keys gives each its pattern.
 Step and weigh: each distinct pattern is stepped once, in ``ROW_BUDGET``
 batches, and each batch's count x change is added into one sum per repair
 time before the batch is dropped. The pass keeps no replication's series
@@ -58,7 +61,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dispatch import FleetArrays, FleetState, ramp, step
+from .dispatch import FleetArrays, FleetState, _slot_sum, ramp, step
 from .fleet import Fleet, validate_fleet
 from .sor import SorTable
 from .tables import ValidationError, write_table
@@ -91,22 +94,22 @@ def islanded_step(*args, **kwargs):
     raise NotImplementedError("the per-n-Grid steppers are in tests/scalar_dispatch.py")
 
 
-def _repair_problems(repair_hours: float) -> list[str]:
-    if math.isfinite(repair_hours) and repair_hours > 0:
-        return []
-    return [f"repair_hours must be finite and > 0, got {repair_hours}"]
+def setting_problems(scenario: Scenario) -> list[tuple[str, str]]:
+    """(Scenario field, problem) for each scalar setting that breaks its rule."""
+    s = scenario
+    rules = [("repair_hours", math.isfinite(s.repair_hours) and s.repair_hours > 0,
+              "must be finite and > 0"),
+             ("replications", s.replications >= 1, "must be >= 1"),
+             ("master_seed", s.master_seed >= 0, "must be >= 0"),
+             ("sr_delivery_hours", math.isfinite(s.sr_delivery_hours) and s.sr_delivery_hours > 0,
+              "must be finite and > 0"),
+             ("precharge", s.precharge in ("full", "sor"), "must be 'full' or 'sor'")]
+    return [(name, f"{rule}, got {getattr(s, name)!r}") for name, ok, rule in rules if not ok]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     report = validate_fleet(scenario.fleet, scenario.horizon)
-    report += _repair_problems(scenario.repair_hours)
-    if scenario.master_seed < 0:
-        report.append(f"master_seed must be >= 0, got {scenario.master_seed}")
-    if scenario.replications < 1:
-        report.append(f"replications must be >= 1, got {scenario.replications}")
-    if not (math.isfinite(scenario.sr_delivery_hours) and scenario.sr_delivery_hours > 0):
-        report.append(f"sr_delivery_hours must be finite and > 0, "
-                      f"got {scenario.sr_delivery_hours}")
+    report += [f"{name} {problem}" for name, problem in setting_problems(scenario)]
     want = {(f, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
     have = {(f, h) for f in scenario.sor.feeder_ids for h in range(scenario.sor.horizon)}
     if missing := want - have:
@@ -120,8 +123,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             report.append(f"derate row outside scenario: feeder {f!r} hour {h}")
         if not (0.0 < factor <= 1.0):
             report.append(f"derate factor {factor} out of (0, 1] for feeder {f!r} hour {h}")
-    if scenario.precharge not in ("full", "sor"):
-        report.append(f"unknown precharge policy {scenario.precharge!r}")
     return report
 
 
@@ -277,11 +278,11 @@ def _duration(repair_hours: float) -> int:
     return max(1, math.ceil(repair_hours))
 
 
-def _outages(hits: np.ndarray, durations: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _outages(hits: np.ndarray, durations: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """The outages that ``hits`` ``(R, F, H)`` start at each duration: a hit
-    while its feeder's outage is active starts none. Returns their rows
-    (point, replication, feeder, start hour, length), in that order, and the
-    islanded hours ``(P, R, F, H)``."""
+    while its feeder's outage is active starts none. Returns one array of
+    rows (replication, feeder, start hour, length cut at the horizon) per
+    duration, in that order, and the islanded hours ``(P, R, F, H)``."""
     R, F, H = hits.shape
     starts = np.empty((len(durations), R, F, H), dtype=bool)
     islanded = np.empty_like(starts)
@@ -291,14 +292,13 @@ def _outages(hits: np.ndarray, durations: list[int]) -> tuple[np.ndarray, np.nda
         start = starts[..., h] = hits[..., h] & (until <= h)
         until = np.where(start, ends + h, until)
         islanded[..., h] = until > h
-    at = np.nonzero(starts)
-    lengths = np.minimum(ends.ravel()[at[0]], H - at[3])  # cut at the horizon
-    return np.stack([*at, lengths], axis=1), islanded
+    return [np.stack([*at, np.minimum(d, H - at[2])], axis=1)
+            for d, at in zip(durations, map(np.nonzero, starts))], islanded
 
 
 def _events(outages: np.ndarray, feeder_ids) -> list[OutageEvent]:
     """:func:`_outages` rows as events, in row order."""
-    return [OutageEvent(feeder_ids[f], h, n) for _, _, f, h, n in outages.tolist()]
+    return [OutageEvent(feeder_ids[f], h, n) for _, f, h, n in outages.tolist()]
 
 
 def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
@@ -309,23 +309,24 @@ def sample_outages(sor: SorTable, repair_hours: float, horizon: int,
     does not depend on the repair duration."""
     u = np.array([rng_for_feeder(f).random(horizon) for f in sor.feeder_ids])
     hits = u < sor.probabilities[:, :horizon]
-    return _events(_outages(hits[None], [_duration(repair_hours)])[0], sor.feeder_ids)
+    return _events(_outages(hits[None], [_duration(repair_hours)])[0][0], sor.feeder_ids)
 
 
 @dataclass
 class _Shadow:
     """The no-outage run, n-Grids in fleet order: arrays, recharge target
     fractions ``(H, N)`` and states before each hour (``states[H]`` after
-    the last). Per feeder: its n-Grids' ``feeder_rows``, in fleet order, and
-    its load, PV, ramp-up and ramp-down ``totals`` ``(4, H)`` summed in that
-    order; ``baseline`` is the fleet series, ``(8, H)`` in ``SERIES_FIELDS``
-    order."""
+    the last). Per feeder index (its row in ``sor.feeder_ids``): its
+    n-Grids' ``feeder_rows``, in fleet order, and its load, PV, ramp-up and
+    ramp-down ``totals`` ``(F, 4, H)``, summed in that order; ``baseline``
+    is the fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order, its feeders
+    added in ``fleet.feeders`` order."""
 
     arrays: FleetArrays
     frac: np.ndarray
     states: FleetState
-    feeder_rows: dict[str, np.ndarray]
-    totals: dict[str, np.ndarray]
+    feeder_rows: list[np.ndarray]
+    totals: np.ndarray
     baseline: np.ndarray
 
 
@@ -336,12 +337,6 @@ ROW_BUDGET = 32768
 # A pass draws its uniforms for this many (replication, feeder) streams at a
 # time, at least one replication, so the ``(R, F, H)`` draw stays a few MB.
 DRAW_BLOCK = 2048
-
-
-def _fold(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``total`` plus each of ``rows`` along their last axis in turn, so
-    every element is summed in row order (``np.cumsum`` adds left to right)."""
-    return np.cumsum(np.concatenate([total[..., None], rows], axis=-1), axis=-1)[..., -1]
 
 
 def compute_shadow(scenario: Scenario) -> _Shadow:
@@ -381,32 +376,30 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     # (4, H, N): each n-Grid's served load, PV, ramp-up and ramp-down.
     rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
-    feeder_rows = {f: np.flatnonzero(feeder_of_row == row_of_feeder[f]) for f in fleet.feeders}
-    totals = {f: _fold(np.zeros((4, H)), rows[..., r]) for f, r in feeder_rows.items()}
-    load, pv, ru_kw, rd_kw = _fold(np.zeros((4, H)), np.array(
-        list(totals.values())).reshape(-1, 4, H).transpose(1, 2, 0))
+    feeder_rows = [np.flatnonzero(feeder_of_row == k) for k in range(len(row_of_feeder))]
+    totals = np.array([_slot_sum(rows[..., r]) for r in feeder_rows])
+    load, pv, ru_kw, rd_kw = _slot_sum(
+        totals[[row_of_feeder[f] for f in fleet.feeders]].transpose(1, 2, 0))
     baseline = np.array([load, pv, *np.zeros((2, H)), ru_kw, ru_kw, rd_kw, rd_kw])
     return _Shadow(arrays, frac, states, feeder_rows, totals, baseline)
 
 
-def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
-    """The change ``(K, 5, H)`` each (feeder id, islanded hours) pattern of
-    ``patterns`` makes to series rows load, ENS, spill, ``ru_avail`` and
-    ``rd_avail`` (rows 0, 2, 3, 5 and 7), stepped as the module docstring
-    describes, on live rows only."""
+def _step_patterns(shadow: _Shadow, feeders: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The change ``(K, 5, H)`` each pattern, feeder index ``feeders[k]``
+    islanded at hours ``masks[k]``, makes to series rows load, ENS, spill,
+    ``ru_avail`` and ``rd_avail`` (rows 0, 2, 3, 5 and 7), stepped as the
+    module docstring describes, on live rows only."""
     H = len(shadow.frac)
-    rows = [shadow.feeder_rows[f] for f, _ in patterns]
-    masks = np.array([mask for _, mask in patterns])
-    totals = np.array([shadow.totals[f] for f, _ in patterns])
-    change = np.zeros((len(patterns), 5, H))
+    rows = [shadow.feeder_rows[f] for f in feeders]
+    change = np.zeros((len(feeders), 5, H))
     # Islanded n-Grids deliver no ramp-up or ramp-down capacity.
-    change[:, 3:] = np.where(masks[:, None], -totals[:, 2:], 0.0)
+    np.negative(shadow.totals[feeders, 2:], out=change[:, 3:], where=masks[:, None])
     first, last = masks.argmax(axis=1), H - 1 - masks[:, ::-1].argmax(axis=1)
     # The live rows: every started, unfinished pattern's n-Grids, each
     # pattern's together and in fleet order, with their fleet row and pattern.
     idx, pattern = np.empty((2, 0), dtype=np.intp)
     state = FleetState(*(a[0, :0] for a in shadow.states))
-    done = np.zeros(len(patterns), dtype=bool)
+    done = np.zeros(len(feeders), dtype=bool)
     for h in range(int(first.min()), H):
         if (starting := np.flatnonzero(first == h)).size:
             joining = np.concatenate([rows[k] for k in starting])
@@ -427,14 +420,14 @@ def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
         # Each stepped pattern's rows summed from 0.0 in fleet order, less the
         # shadow's feeder load (its ENS and spill are 0).
         stepped = np.flatnonzero((first <= h) & ~done)
-        sums = np.array([np.bincount(pattern, w, len(patterns)) for w in now], float)
-        sums[0] -= totals[:, 0, h]
+        sums = np.array([np.bincount(pattern, w, len(feeders)) for w in now], float)
+        sums[0] -= shadow.totals[feeders, 0, h]
         change[stepped, :3, h] = sums[:, stepped].T
         check = np.flatnonzero(last[pattern] < h)
         same = (state.bess[check] == shadow.states.bess[h + 1].take(idx[check])) & (
             (state.ev[check] == shadow.states.ev[h + 1].take(idx[check], 0)).all(axis=1)) & (
             (state.tasks[check] == shadow.states.tasks[h + 1].take(idx[check], 0)).all(axis=1))
-        finished = np.zeros(len(patterns), dtype=bool)
+        finished = np.zeros(len(feeders), dtype=bool)
         finished[pattern[check]] = True
         finished[pattern[check[~same]]] = False
         if finished.any():
@@ -448,14 +441,15 @@ def _step_patterns(shadow: _Shadow, patterns: list) -> np.ndarray:
 
 
 def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float],
-                 indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 indices) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Per repair time ``repair_values[p]``: the mean ``(P, 8, H)`` of the
     replications' series, ``_Shadow.baseline`` plus the sum over patterns
     of count x change, from 0.0 in key order, over ``len(indices)``;
     replication ``indices[r]``'s ENS and spill over the day, ``(P, R, 2)``;
-    and its :func:`_outages` rows, ``r`` counted over the pass. A pass draws
-    and keys its blocks of about ``DRAW_BLOCK`` streams, then steps each
-    distinct pattern once, in key order, and weighs it by its counts."""
+    and its :func:`_outages` rows, one array per repair time, replications
+    counted over the pass. A pass draws and keys its blocks of about
+    ``DRAW_BLOCK`` streams, then steps each distinct pattern once, in key
+    order, and weighs it by its counts."""
     H = scenario.horizon
     feeder_ids = scenario.sor.feeder_ids
     durations = [_duration(value) for value in repair_values]
@@ -464,13 +458,14 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     # Draw and key: each disturbed (repair time, replication, feeder)'s run
     # p * R + r and its key, the feeder index as big-endian ``>u4`` and then
     # its islanded hours packed from hour 0, so keys sort by feeder, then mask.
-    outages, runs, keys = [], [], []
+    outages, runs, keys = [[] for _ in durations], [], []
     for r0 in range(0, R, block):
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
                          H) < scenario.sor.probabilities[:, :H]
         rows, islanded = _outages(hits, durations)
-        rows[:, 1] += r0
-        outages.append(rows)
+        for point, block_rows in zip(outages, rows):
+            block_rows[:, 0] += r0
+            point.append(block_rows)
         p, r, f = np.nonzero(islanded.any(axis=-1))
         runs.append(p * R + r0 + r)
         keys.append(np.concatenate([f.astype(">u4").view(np.uint8).reshape(-1, 4),
@@ -479,36 +474,38 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     width = keys.shape[1]
     patterns, ids = np.unique(keys.view(f"V{width}").ravel(), return_inverse=True)
     patterns = patterns.view(np.uint8).reshape(-1, width)
-    feeders = np.ascontiguousarray(patterns[:, :4]).view(">u4").ravel().tolist()
+    feeders = np.ascontiguousarray(patterns[:, :4]).view(">u4").ravel().astype(np.intp)
     masks = np.unpackbits(patterns[:, 4:], axis=1, count=H).astype(bool)
     runs = np.concatenate(runs)
     K = len(masks)
     counts = np.bincount(runs // R * K + ids, minlength=P * K).reshape(P, K)
-    # Step and weigh: each batch's count x change added onto the running sums
-    # left to right in key order (``np.cumsum`` along the batch, the sum put
-    # into its first row), each pattern's day ENS and spill kept, and the
-    # batch dropped before the next is stepped.
+    # Step and weigh: a batch closes at the pattern that brings its rows to
+    # ROW_BUDGET (``ends[k]`` is patterns 0 to k's rows). Its count x change
+    # is added onto the running sums left to right in key order (``np.cumsum``
+    # along the batch, the sum put into its first row), each pattern's day
+    # ENS and spill kept, and the batch dropped before the next is stepped.
     sums = np.zeros((P, 5, H))
     day = np.empty((K, 2))
-    first, queued = 0, 0
-    for k, f in enumerate(feeders):
-        queued += len(shadow.feeder_rows[feeder_ids[f]])
-        if queued >= ROW_BUDGET or k == K - 1:
-            change = _step_patterns(shadow, [(feeder_ids[i], mask) for i, mask in
-                                             zip(feeders[first:k + 1], masks[first:k + 1])])
-            day[first:k + 1] = change[:, 1:3].sum(axis=-1)
-            for p, weights in enumerate(counts[:, first:k + 1]):
-                weighed = weights[:, None, None] * change
-                weighed[0] += sums[p]
-                sums[p] = np.cumsum(weighed, axis=0)[-1]
-            del change, weighed
-            first, queued = k + 1, 0
+    ends = np.cumsum(np.array([len(rows) for rows in shadow.feeder_rows])[feeders])
+    first = 0
+    while first < K:
+        before = ends[first - 1] if first else 0
+        stop = min(K, 1 + int(np.searchsorted(ends, before + ROW_BUDGET)))
+        change = _step_patterns(shadow, feeders[first:stop], masks[first:stop])
+        day[first:stop] = change[:, 1:3].sum(axis=-1)
+        weighed = np.empty_like(change)
+        for p, weights in enumerate(counts[:, first:stop]):
+            np.multiply(weights[:, None, None], change, out=weighed)
+            weighed[0] += sums[p]
+            sums[p] = np.cumsum(weighed, axis=0, out=weighed)[-1]
+        del change, weighed
+        first = stop
     mean = np.tile(shadow.baseline, (P, 1, 1))
     mean[:, [0, 2, 3, 5, 7]] += sums / R
     # A replication's ENS and spill: its patterns' days, added from 0.0 in
     # feeder order (the order ``np.nonzero`` gives each run's triples).
     energy = np.stack([np.bincount(runs, w, P * R) for w in day[ids].T], axis=-1)
-    return mean, energy.reshape(P, R, 2), np.concatenate(outages)
+    return mean, energy.reshape(P, R, 2), [np.concatenate(rows) for rows in outages]
 
 
 def check_repair_values(repair_values: list[float]) -> None:
@@ -527,7 +524,8 @@ def _validate(scenario: Scenario, repair_values: list[float]) -> None:
     # Only the repair time differs between the points: validate the first in
     # full and the others' repair times.
     problems = validate_scenario(replace(scenario, repair_hours=repair_values[0]))
-    problems += [p for value in repair_values[1:] for p in _repair_problems(value)]
+    problems += [f"{name} {problem}" for value in repair_values[1:] for name, problem in
+                 setting_problems(replace(scenario, repair_hours=value)) if name == "repair_hours"]
     if problems:
         raise ValidationError("; ".join(problems))
 
@@ -540,7 +538,7 @@ def run_replication(scenario: Scenario,
     _validate(scenario, [scenario.repair_hours])
     means, _, outages = _monte_carlo(scenario, compute_shadow(scenario),
                                      [scenario.repair_hours], [replication_index])
-    return FleetSeries(*means[0]), _events(outages, scenario.sor.feeder_ids)
+    return FleetSeries(*means[0]), _events(outages[0], scenario.sor.feeder_ids)
 
 
 def run_simulation(scenario: Scenario, workers: int | None = None) -> SimulationReport:
@@ -552,17 +550,17 @@ def run_simulation(scenario: Scenario, workers: int | None = None) -> Simulation
 
 def sweep_reports(scenario: Scenario,
                   repair_values: list[float]) -> list[tuple[float, SimulationReport]]:
-    """One (repair_hours, report) pair per repair time, with identical
-    seeds, so only the outage durations change. Every point shares one
-    shadow and one Monte Carlo pass, which weighs each distinct pattern's
-    change by how often the point's replications drew it."""
+    """One (repair_hours, report) pair per repair time, all from the same
+    draws: a longer repair suppresses later hits as well as lengthening
+    outages. Every point shares one shadow and one Monte Carlo pass, which
+    weighs each distinct pattern's change by how often that point drew it."""
     _validate(scenario, repair_values)
     means, energy, outages = _monte_carlo(scenario, compute_shadow(scenario), repair_values,
                                           range(scenario.replications))
     reports = []
     for p, value in enumerate(repair_values):
         mean = FleetSeries(*means[p])
-        _, rep, f, start, length = outages[outages[:, 0] == p].T
+        rep, f, start, length = outages[p].T
         reports.append((value, SimulationReport(
             mean_series=mean,
             total_ens_mwh=float(mean.ens_kw.sum()) / 1000.0,

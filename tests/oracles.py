@@ -163,7 +163,7 @@ def feeder_change(scenario, shadow, pattern):
             change[0, h] += outcome.served_load_kw + outcome.ens_kw
             change[1, h] += outcome.ens_kw
             change[2, h] += outcome.spilled_kw
-    load, _, ru_kw, rd_kw = shadow.totals[feeder_id]
+    load, _, ru_kw, rd_kw = shadow.totals[pattern[0]]
     change[0] -= load
     change[3:] = np.where(mask, -np.array([ru_kw, rd_kw]), 0.0)
     return change

@@ -473,15 +473,49 @@ class TestLoaderErrors:
                              ids=["file", "flag"])
     def test_negative_seed(self, tmp_path, capsys, setting, argv, seed):
         """A negative seed is reported by field before any dispatch, not by
-        numpy's first outage draw."""
+        numpy's first outage draw: from the file with the file and its key,
+        from the flag by the Scenario field."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        scenario.write_text(scenario.read_text().replace("seed: 7", setting))
         problem = f"master_seed must be >= 0, got {seed}"
         assert validate_scenario(replace(load_scenario(scenario), master_seed=seed)) == [problem]
+        scenario.write_text(scenario.read_text().replace("seed: 7", setting))
         code = main(["simulate", "--scenario", str(scenario),
                      "--out", str(tmp_path / "out"), *argv])
         assert code == 1
+        if not argv:
+            problem = f"{scenario}: field 'seed': must be >= 0, got {seed}"
         assert capsys.readouterr().err == f"validation error: {problem}\n"
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("replications", "0", "must be >= 1, got 0"),
+        ("seed", "-3", "must be >= 0, got -3"),
+        ("repair_hours", "-2.5", "must be finite and > 0, got -2.5"),
+        ("sr_delivery_hours", "0", "must be finite and > 0, got 0.0"),
+        ("precharge", "soon", "must be 'full' or 'sor', got 'soon'"),
+    ], ids=["replications", "seed", "repair_hours", "sr_delivery_hours", "precharge"])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--repair", "1,2"]],
+                             ids=["simulate", "sweep"])
+    def test_setting_named_with_file(self, tmp_path, capsys, key, value, problem, command):
+        """A scenario setting out of range is named with the scenario file
+        and the file's own key for it, before any output is written."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        lines = scenario.read_text().splitlines(keepends=True)
+        scenario.write_text("".join(line for line in lines if not line.startswith(f"{key}:"))
+                            + f"{key}: {value}\n")
+        code = main([*command, "--scenario", str(scenario), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"validation error: {scenario}: field {key!r}: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_reps_flag_named_by_field(self, tmp_path, capsys):
+        """``--reps 0`` is not in the file: it is named by the Scenario
+        field."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                     "--reps", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "validation error: replications must be >= 1, got 0\n"
 
     def test_zero_horizon(self, tmp_path, capsys):
         """``horizon: 0`` is named in the scenario file, not blamed on the
