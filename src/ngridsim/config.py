@@ -10,24 +10,23 @@ or per-hour list), and deferrable tasks. Every fleet number is a JSON number
 ``ngrid_id,hour,load_kw,pv_kw`` CSV with one row per n-Grid hour; every
 profile is a tuple of floats. A key may appear once per YAML mapping or JSON
 object: a repeated one is reported, with its line in YAML (JSON files are
-read by :func:`ngridsim.tables.read_json`). The loaders check form;
-:func:`ngridsim.fleet.validate_fleet` checks values, such as an HVAC
-profile's length, and :func:`load_scenario` reports its problems after the
-fleet file's name. :func:`ngridsim.harness.setting_problems` checks the
-scenario's settings, which :func:`load_scenario` reports after the
-scenario file's name and the file's key for each.
+read by :func:`ngridsim.tables.read_json`). The loaders check form and
+that each profile value is finite and >= 0. :func:`ngridsim.harness.validate_scenario`
+checks values (an HVAC profile's length, the SoR table's cover of the fleet,
+a derate factor, a setting), and :func:`load_scenario` reports each problem
+after its input's file name, a setting's after the scenario file's key.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import fields
 
 import yaml
 
-from .fleet import (DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit,
-                    validate_fleet)
-from .harness import Scenario, setting_problems
+from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
+from .harness import Scenario, validate_scenario
 from .sor import load_sor_table
 from .tables import ValidationError, read_feeder_hours, read_json, read_table
 
@@ -65,6 +64,13 @@ def _hours(value) -> float:
     return float(value)
 
 
+def _kw(cell: str) -> float:
+    """A profile cell: a finite number >= 0."""
+    if not (math.isfinite(value := float(cell)) and value >= 0.0):
+        raise ValueError(f"expected a finite number >= 0, got {cell!r}")
+    return value
+
+
 def parse_plug_hours(spec) -> set[int]:
     """``"0-6,19-23"`` (or a list of ints) -> set of hour indices."""
     if isinstance(spec, (list, tuple)):
@@ -97,7 +103,7 @@ def load_profiles(path, horizon: int) -> dict[str, tuple[tuple[float, ...], tupl
     """Per-n-Grid (load, pv) profiles from CSV; every hour must be present."""
     hours_of: dict[str, list] = {}  # n-Grid id -> (load_kw, pv_kw) per hour
     for rec in read_table(path, PROFILE_COLUMNS,
-                          {"hour": int, "load_kw": float, "pv_kw": float}.get):
+                          {"hour": int, "load_kw": _kw, "pv_kw": _kw}.get):
         nid, h = rec["ngrid_id"], rec["hour"]
         if nid not in hours_of:
             hours_of[nid] = [None] * horizon
@@ -247,12 +253,12 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"{path}: field 'horizon': must be >= 1, got {horizon}")
     fleet_path = resolve("fleet")
     fleet = load_fleet(fleet_path, resolve("profiles"), horizon)
-    if problems := validate_fleet(fleet, horizon):
-        raise ValidationError(f"{fleet_path}: " + "; ".join(problems))
-    sor = load_sor_table(resolve("sor"))
-    derate = None
+    sor_path = resolve("sor")
+    sor = load_sor_table(sor_path)
+    derate_path = derate = None
     if doc.get("derate"):
-        derate = read_feeder_hours(os.path.join(base_dir, str(doc["derate"])), DERATE_COLUMNS)
+        derate_path = os.path.join(base_dir, str(doc["derate"]))
+        derate = read_feeder_hours(derate_path, DERATE_COLUMNS)
     scenario = Scenario(
         fleet=fleet,
         sor=sor,
@@ -264,9 +270,10 @@ def load_scenario(path) -> Scenario:
         derate=derate,
         precharge=scalar("precharge", str),
     )
-    # A setting out of range is named by this file's key for it.
-    if problems := setting_problems(scenario):
-        raise ValidationError(f"{path}: " + "; ".join(
-            f"field {('seed' if name == 'master_seed' else name)!r}: {problem}"
-            for name, problem in problems))
+    # Each problem is named by its input's file, a setting by this file's key.
+    files = {"fleet": fleet_path, "sor": sor_path, "derate": derate_path,
+             "master_seed": f"{path}: field 'seed'"}
+    if problems := validate_scenario(scenario):
+        raise ValidationError("; ".join(f"{files.get(field, f'{path}: field {field!r}')}: "
+                                        f"{problem}" for field, problem in problems))
     return scenario

@@ -94,35 +94,42 @@ def islanded_step(*args, **kwargs):
     raise NotImplementedError("the per-n-Grid steppers are in tests/scalar_dispatch.py")
 
 
-def setting_problems(scenario: Scenario) -> list[tuple[str, str]]:
-    """(Scenario field, problem) for each scalar setting that breaks its rule."""
-    s = scenario
-    rules = [("repair_hours", math.isfinite(s.repair_hours) and s.repair_hours > 0,
-              "must be finite and > 0"),
-             ("replications", s.replications >= 1, "must be >= 1"),
-             ("master_seed", s.master_seed >= 0, "must be >= 0"),
-             ("sr_delivery_hours", math.isfinite(s.sr_delivery_hours) and s.sr_delivery_hours > 0,
-              "must be finite and > 0"),
-             ("precharge", s.precharge in ("full", "sor"), "must be 'full' or 'sor'")]
-    return [(name, f"{rule}, got {getattr(s, name)!r}") for name, ok, rule in rules if not ok]
+# Scenario field -> (test, rule) for each scalar setting.
+_SETTING_RULES = {
+    "repair_hours": (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    "replications": (lambda v: v >= 1, "must be >= 1"),
+    "master_seed": (lambda v: v >= 0, "must be >= 0"),
+    "sr_delivery_hours": (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    "precharge": (lambda v: v in ("full", "sor"), "must be 'full' or 'sor'"),
+}
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    report = validate_fleet(scenario.fleet, scenario.horizon)
-    report += [f"{name} {problem}" for name, problem in setting_problems(scenario)]
+def _setting_problems(name: str, values) -> list[tuple[str, str]]:
+    ok, rule = _SETTING_RULES[name]
+    return [(name, f"{rule}, got {value!r}") for value in values if not ok(value)]
+
+
+def validate_scenario(scenario: Scenario) -> list[tuple[str, str]]:
+    """(Scenario field, problem) for each broken rule: ``"fleet"`` for each
+    :func:`validate_fleet` problem, ``"sor"`` for the SoR table's coverage of
+    the fleet's feeder-hours, ``"derate"`` per derate row, else the setting."""
+    report = [("fleet", problem) for problem in validate_fleet(scenario.fleet, scenario.horizon)]
+    for name in _SETTING_RULES:
+        report += _setting_problems(name, [getattr(scenario, name)])
     want = {(f, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
     have = {(f, h) for f in scenario.sor.feeder_ids for h in range(scenario.sor.horizon)}
     if missing := want - have:
         f, h = min(missing)
-        report.append(f"SoR table missing entry for feeder {f!r} hour {h}")
+        report.append(("sor", f"SoR table missing entry for feeder {f!r} hour {h}"))
     elif extra := have - want:
         f, h = min(extra)
-        report.append(f"SoR table has entry outside scenario: feeder {f!r} hour {h}")
+        report.append(("sor", f"SoR table has entry outside scenario: feeder {f!r} hour {h}"))
     for (f, h), factor in (scenario.derate or {}).items():
         if (f, h) not in want:
-            report.append(f"derate row outside scenario: feeder {f!r} hour {h}")
+            report.append(("derate", f"derate row outside scenario: feeder {f!r} hour {h}"))
         if not (0.0 < factor <= 1.0):
-            report.append(f"derate factor {factor} out of (0, 1] for feeder {f!r} hour {h}")
+            report.append(("derate",
+                           f"derate factor {factor} out of (0, 1] for feeder {f!r} hour {h}"))
     return report
 
 
@@ -524,10 +531,10 @@ def _validate(scenario: Scenario, repair_values: list[float]) -> None:
     # Only the repair time differs between the points: validate the first in
     # full and the others' repair times.
     problems = validate_scenario(replace(scenario, repair_hours=repair_values[0]))
-    problems += [f"{name} {problem}" for value in repair_values[1:] for name, problem in
-                 setting_problems(replace(scenario, repair_hours=value)) if name == "repair_hours"]
-    if problems:
-        raise ValidationError("; ".join(problems))
+    problems += _setting_problems("repair_hours", repair_values[1:])
+    if problems:  # a setting is named by its field
+        raise ValidationError("; ".join(f"{field} {problem}" if field in _SETTING_RULES
+                                        else problem for field, problem in problems))
 
 
 def run_replication(scenario: Scenario,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 FM_WEIGHTS = (0.4, 0.3, 0.3)  # roc_auc, f1, prc_auc
 
@@ -47,16 +49,12 @@ def roc_auc(samples: list[LabeledScore]) -> float:
     neg = [s.score for s in samples if s.label == 0]
     if not pos or not neg:
         raise ValueError("roc_auc needs at least one positive and one negative sample")
-    ranked = sorted(samples, key=lambda s: s.score)
     rank_sum_pos = 0.0
-    i = 0
-    n = len(ranked)
-    while i < n:
-        j = i
-        while j < n and ranked[j].score == ranked[i].score:
-            j += 1
-        avg_rank = (i + 1 + j) / 2.0  # 1-based average rank of the tie group
-        rank_sum_pos += avg_rank * sum(1 for k in range(i, j) if ranked[k].label == 1)
+    i = 0  # samples ranked below the tie group
+    for _, group in groupby(sorted(samples, key=attrgetter("score")), key=attrgetter("score")):
+        hits = [s.label == 1 for s in group]
+        j = i + len(hits)
+        rank_sum_pos += (i + 1 + j) / 2.0 * sum(hits)  # the group's 1-based average rank
         i = j
     u = rank_sum_pos - len(pos) * (len(pos) + 1) / 2.0
     return u / (len(pos) * len(neg))
@@ -97,24 +95,16 @@ def prc_auc(samples: list[LabeledScore]) -> float:
     n_pos = sum(1 for s in samples if s.label == 1)
     if n_pos == 0:
         raise ValueError("prc_auc needs at least one positive sample")
-    ranked = sorted(samples, key=lambda s: -s.score)
-    ap = 0.0
-    tp = 0
-    taken = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(ranked)
-    while i < n:
-        j = i
-        while j < n and ranked[j].score == ranked[i].score:
-            j += 1
-        tp += sum(1 for k in range(i, j) if ranked[k].label == 1)
-        taken = j
+    ap = prev_recall = 0.0
+    tp = taken = 0
+    for _, group in groupby(sorted(samples, key=lambda s: -s.score), key=attrgetter("score")):
+        hits = [s.label == 1 for s in group]
+        tp += sum(hits)
+        taken += len(hits)
         recall = tp / n_pos
         precision = tp / taken
         ap += precision * (recall - prev_recall)
         prev_recall = recall
-        i = j
     return ap
 
 

@@ -344,12 +344,69 @@ class TestLoaderErrors:
     def test_derate_row_outside_scenario(self, tmp_path, capsys, row):
         scenario = write_tiny_bundle(tmp_path / "tiny")
         scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
-        (scenario.parent / "derate.csv").write_text(f"feeder_id,hour,factor\nF1,0,0.9\n{row}\n")
+        path = scenario.parent / "derate.csv"
+        path.write_text(f"feeder_id,hour,factor\nF1,0,0.9\n{row}\n")
         code, err = self.run(scenario, tmp_path, capsys)
         feeder, hour, _ = row.split(",")
         assert code == 1
-        assert err.startswith("validation error:") and err.count("\n") == 1
-        assert f"derate row outside scenario: feeder {feeder!r} hour {hour}" in err
+        assert err == (f"validation error: {path}: "
+                       f"derate row outside scenario: feeder {feeder!r} hour {hour}\n")
+
+    @pytest.mark.parametrize("factor", ["1.5", "0", "-0.5"])
+    def test_derate_factor_named_with_file(self, tmp_path, capsys, factor):
+        """A derate factor outside (0, 1] is named with the derate file."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text() + "derate: derate.csv\n")
+        path = scenario.parent / "derate.csv"
+        path.write_text(f"feeder_id,hour,factor\nF1,3,{factor}\n")
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == (f"validation error: {path}: derate factor {float(factor)} "
+                       "out of (0, 1] for feeder 'F1' hour 3\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda text: text.replace("F1,", "F2,"), "missing entry for feeder 'F1' hour 0"),
+        (lambda text: text + "".join(f"F2,{h},0.0\n" for h in range(H)),
+         "has entry outside scenario: feeder 'F2' hour 0"),
+        (lambda text: text.replace("F1,23,0.0\n", ""), "missing entry for feeder 'F1' hour 23"),
+    ], ids=["lacks-feeder", "extra-feeder", "ends-at-22"])
+    def test_sor_coverage_named_with_file(self, tmp_path, capsys, edit, problem):
+        """An SoR table that does not cover the fleet's feeders and hours
+        exactly is named with its file."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        path = scenario.parent / "sor.csv"
+        path.write_text(edit(path.read_text()))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == f"validation error: {path}: SoR table {problem}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-2.5", "inf"])
+    @pytest.mark.parametrize("column", ["load_kw", "pv_kw"])
+    def test_profile_value_named_with_cell(self, tmp_path, capsys, column, value):
+        """A negative or non-finite profile value is named by the profiles
+        file, its line and its column, not blamed on the fleet file."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        path = scenario.parent / "profiles.csv"
+        row = {"load_kw": f"N1,0,{value},0.5", "pv_kw": f"N1,0,2.0,{value}"}[column]
+        path.write_text(path.read_text().replace("N1,0,2.0,0.5", row, 1))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == (f"validation error: {path}: line 2, column {column!r}: "
+                       f"expected a finite number >= 0, got {value!r}\n")
+
+    def test_each_fleet_problem_named_with_file(self, tmp_path, capsys):
+        """Every problem of a fleet with two is named with the fleet file."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        fleet = scenario.parent / "fleet.json"
+        fleet.write_text(fleet.read_text().replace('"soc0_kwh": 10.0', '"soc0_kwh": 99')
+                         .replace('"soc_arrival_kwh": 30.0', '"soc_arrival_kwh": 999'))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == (f"validation error: {fleet}: n-Grid 'N1' BESS: soc0_kwh outside "
+                       f"[0, capacity_kwh]; {fleet}: n-Grid 'N1' EV 0: soc_arrival_kwh "
+                       "outside [0, capacity_kwh]\n")
 
     def test_duplicate_derate_row(self, tmp_path, capsys):
         """A (feeder, hour) given twice is refused, not settled by its last
@@ -476,15 +533,15 @@ class TestLoaderErrors:
         numpy's first outage draw: from the file with the file and its key,
         from the flag by the Scenario field."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        problem = f"master_seed must be >= 0, got {seed}"
-        assert validate_scenario(replace(load_scenario(scenario), master_seed=seed)) == [problem]
+        problem = f"must be >= 0, got {seed}"
+        assert validate_scenario(replace(load_scenario(scenario), master_seed=seed)) == \
+            [("master_seed", problem)]
         scenario.write_text(scenario.read_text().replace("seed: 7", setting))
         code = main(["simulate", "--scenario", str(scenario),
                      "--out", str(tmp_path / "out"), *argv])
         assert code == 1
-        if not argv:
-            problem = f"{scenario}: field 'seed': must be >= 0, got {seed}"
-        assert capsys.readouterr().err == f"validation error: {problem}\n"
+        named = f"{scenario}: field 'seed':" if not argv else "master_seed"
+        assert capsys.readouterr().err == f"validation error: {named} {problem}\n"
 
     @pytest.mark.parametrize("key, value, problem", [
         ("replications", "0", "must be >= 1, got 0"),

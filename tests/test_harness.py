@@ -1164,23 +1164,24 @@ class TestValidateScenario:
         sor = SorTable({("F1", h): 0.0 for h in range(H - 1)})  # hour 23 missing
         scenario = Scenario(fleet=fleet, sor=sor, horizon=H)
         problems = validate_scenario(scenario)
-        assert any("missing" in p for p in problems)
+        assert ("sor", "SoR table missing entry for feeder 'F1' hour 23") in problems
 
     @pytest.mark.parametrize("field", ["repair_hours", "sr_delivery_hours"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_scalars_rejected(self, field, value):
         problems = validate_scenario(single_ngrid_scenario(**{field: value}))
-        assert any(field in p for p in problems)
+        assert problems == [(field, f"must be finite and > 0, got {value!r}")]
 
     def test_derate_range_checked(self):
         scenario = single_ngrid_scenario(derate={("F1", 0): 1.5})
-        assert any("derate" in p for p in validate_scenario(scenario))
+        assert validate_scenario(scenario) == \
+            [("derate", "derate factor 1.5 out of (0, 1] for feeder 'F1' hour 0")]
 
     @pytest.mark.parametrize("key", [("F99", 3), ("F1", 30), ("F1", -1)])
     def test_derate_row_outside_scenario(self, key):
         scenario = single_ngrid_scenario(derate={("F1", 0): 0.9, key: 0.5})
         assert validate_scenario(scenario) == \
-            [f"derate row outside scenario: feeder {key[0]!r} hour {key[1]}"]
+            [("derate", f"derate row outside scenario: feeder {key[0]!r} hour {key[1]}")]
         for run in (run_simulation, lambda scenario: run_replication(scenario, 0)):
             with pytest.raises(ValidationError, match="derate row outside scenario"):
                 run(scenario)
