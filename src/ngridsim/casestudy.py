@@ -11,18 +11,14 @@ and shape checks, not value reproduction.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 import numpy as np
-import yaml
 
-from .config import DERATE_COLUMNS, PROFILE_COLUMNS
+from .config import write_bundle  # noqa: F401  (bench/run.py calls it here)
 from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
 from .harness import Scenario
-from .sor import SorTable, save_sor_table
-from .tables import write_table
+from .sor import SorTable
 
 N_FEEDERS = 10
 NGRIDS_PER_FEEDER = 50
@@ -100,87 +96,5 @@ def build_case_study(replications: int = 100, master_seed: int = 20230223,
     sor = SorTable(entries)
 
     return Scenario(fleet=Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids)),
-                    sor=sor, horizon=horizon, repair_hours=repair_hours,
-                    replications=replications, master_seed=master_seed)
-
-
-def write_bundle(scenario: Scenario, out_dir) -> str:
-    """Write the scenario out as the file set the CLI consumes; returns the
-    scenario file path."""
-    os.makedirs(out_dir, exist_ok=True)
-
-    write_table(os.path.join(out_dir, "profiles.csv"), PROFILE_COLUMNS,
-                ([ng.id, h, ng.base_load[h], ng.pv[h]]
-                 for ng in scenario.fleet.ngrids for h in range(scenario.horizon)))
-    save_sor_table(scenario.sor, os.path.join(out_dir, "sor.csv"))
-
-    def plug_ranges(hours: frozenset[int]) -> str:
-        parts = []
-        for h in sorted(hours):
-            if parts and parts[-1][1] == h - 1:
-                parts[-1][1] = h
-            else:
-                parts.append([h, h])
-        return ",".join(f"{a}-{b}" if a != b else str(a) for a, b in parts)
-
-    def efficiencies(unit: StorageUnit) -> dict:
-        """The efficiencies that differ from the loader's default of 1."""
-        return {name: getattr(unit, name) for name in ("eta_charge", "eta_discharge")
-                if getattr(unit, name) != 1.0}
-
-    def hourly(profile: tuple[float, ...]):
-        """A constant profile as its one value, any other as its list."""
-        return profile[0] if len(set(profile)) == 1 else list(profile)
-
-    # Each feeder lists the n-Grids that name it, in fleet order.
-    members = {feeder_id: [] for feeder_id in scenario.fleet.feeders}
-    for ng in scenario.fleet.ngrids:
-        members[ng.feeder_id].append(ng)
-    fleet_doc = {"feeders": []}
-    for feeder_id, ngrids in members.items():
-        fdoc = {"id": feeder_id, "ngrids": []}
-        for ng in ngrids:
-            ndoc = {"id": ng.id}
-            if ng.bess is not None:
-                ndoc["bess"] = {"capacity_kwh": ng.bess.capacity_kwh,
-                                "p_max_kw": ng.bess.p_max_kw,
-                                "soc0_kwh": ng.bess.soc_kwh, **efficiencies(ng.bess)}
-            if ng.evs:
-                ndoc["evs"] = [{"capacity_kwh": ev.battery.capacity_kwh,
-                                "p_max_kw": ev.battery.p_max_kw,
-                                "soc_arrival_kwh": ev.battery.soc_kwh,
-                                "plug_hours": plug_ranges(ev.plug_hours),
-                                **efficiencies(ev.battery)}
-                               for ev in ng.evs]
-            if ng.hvac is not None:
-                ndoc["hvac"] = {"p_normal": hourly(ng.hvac.p_normal_kw),
-                                "p_min": hourly(ng.hvac.p_min_kw)}
-            if ng.deferrables:
-                ndoc["deferrables"] = [{"energy_kwh": t.energy_kwh, "power_kw": t.power_kw,
-                                        "earliest": t.earliest_hour, "deadline": t.deadline_hour}
-                                       for t in ng.deferrables]
-            fdoc["ngrids"].append(ndoc)
-        fleet_doc["feeders"].append(fdoc)
-    with open(os.path.join(out_dir, "fleet.json"), "w") as fh:
-        json.dump(fleet_doc, fh, indent=1)
-        fh.write("\n")
-
-    scenario_doc = {
-        "horizon": scenario.horizon,
-        "repair_hours": scenario.repair_hours,
-        "replications": scenario.replications,
-        "seed": scenario.master_seed,
-        "sr_delivery_hours": scenario.sr_delivery_hours,
-        "precharge": scenario.precharge,
-        "fleet": "fleet.json",
-        "profiles": "profiles.csv",
-        "sor": "sor.csv",
-    }
-    if scenario.derate is not None:
-        write_table(os.path.join(out_dir, "derate.csv"), DERATE_COLUMNS,
-                    ([f, h, factor] for (f, h), factor in sorted(scenario.derate.items())))
-        scenario_doc["derate"] = "derate.csv"
-    path = os.path.join(out_dir, "scenario.yaml")
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_doc, fh, sort_keys=False)
-    return path
+                    sor=sor, repair_hours=repair_hours, replications=replications,
+                    master_seed=master_seed)

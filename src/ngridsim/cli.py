@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import casestudy, sor as sor_engine
-from .config import load_scenario
+from .config import load_scenario, write_bundle
 from .harness import check_repair_values, emit_report, run_simulation, sweep_reports
 from .metrics import LabeledScore, metric_report
 from .tables import ValidationError, read_table
@@ -136,7 +136,7 @@ def _cmd_sor(args) -> int:
 
 def _cmd_demo(args) -> int:
     scenario = casestudy.build_case_study(replications=args.reps)
-    path = casestudy.write_bundle(scenario, args.out)
+    path = write_bundle(scenario, args.out)
     print(f"wrote case-study scenario to {path}")
     return 0
 

@@ -1,17 +1,20 @@
-"""Scenario and fleet file loading.
+"""Scenario and fleet files: their loaders and :func:`write_bundle`, which
+writes a scenario as the files the loaders read.
 
 Scenario files are YAML with scalar settings plus paths (relative to the
 scenario file) for the fleet config, the profiles CSV, the SoR CSV, and an
-optional derate CSV. Fleet configs are JSON: feeders with per-n-Grid blocks
-declaring BESS, EVs (plug hours as ranges like ``0-6,19-23`` or a list of
-hours, and the SoC at each plug-in as ``soc_arrival_kwh``), HVAC (constant
-or per-hour list), and deferrable tasks. Every fleet number is a JSON number
-(not a bool or a string) and every hour a JSON integer. Profiles come from a
-``ngrid_id,hour,load_kw,pv_kw`` CSV with one row per n-Grid hour; every
-profile is a tuple of floats. A key may appear once per YAML mapping or JSON
-object: a repeated one is reported, with its line in YAML (JSON files are
-read by :func:`ngridsim.tables.read_json`). The loaders check form and
-that each profile value is finite and >= 0. :func:`ngridsim.harness.validate_scenario`
+optional derate CSV; any other key is refused. The SoR table holds every
+feeder at every hour, so its hour count sets the horizon. Fleet configs are
+JSON: feeders with per-n-Grid blocks declaring BESS, EVs (plug hours as
+ranges like ``0-6,19-23`` or a list of hours, and the SoC at each plug-in
+as ``soc_arrival_kwh``), HVAC (constant or per-hour list), and deferrable
+tasks. Every fleet number is a JSON number (not a bool or a string) and
+every hour a JSON integer. Profiles come from a ``ngrid_id,hour,load_kw,pv_kw``
+CSV with one row per hour of each n-Grid the fleet lists; every profile is
+a tuple of floats. A key may appear once per YAML mapping or JSON object: a
+repeated one is reported, with its line in YAML (JSON files are read by
+:func:`ngridsim.tables.read_json`). The loaders check form and that each
+profile value is finite and >= 0. :func:`ngridsim.harness.validate_scenario`
 checks values (an HVAC profile's length, the SoR table's cover of the fleet,
 a derate factor, a setting), and :func:`load_scenario` reports each problem
 after its input's file name, a setting's after the scenario file's key.
@@ -19,6 +22,7 @@ after its input's file name, a setting's after the scenario file's key.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import fields
@@ -27,8 +31,8 @@ import yaml
 
 from .fleet import DeferrableTask, ElectricVehicle, Fleet, HvacAsset, NGrid, StorageUnit
 from .harness import Scenario, validate_scenario
-from .sor import load_sor_table
-from .tables import ValidationError, read_feeder_hours, read_json, read_table
+from .sor import load_sor_table, save_sor_table
+from .tables import ValidationError, read_feeder_hours, read_json, read_table, write_table
 
 PROFILE_COLUMNS = ("ngrid_id", "hour", "load_kw", "pv_kw")
 DERATE_COLUMNS = ("feeder_id", "hour", "factor")
@@ -91,12 +95,28 @@ def parse_plug_hours(spec) -> set[int]:
     return hours
 
 
+def _plug_ranges(hours: frozenset[int]) -> str:
+    """The inverse of :func:`parse_plug_hours`: ``"0-6,19-23"``."""
+    parts = []
+    for h in sorted(hours):
+        if parts and parts[-1][1] == h - 1:
+            parts[-1][1] = h
+        else:
+            parts.append([h, h])
+    return ",".join(f"{a}-{b}" if a != b else str(a) for a, b in parts)
+
+
 def _profile(value, horizon: int, field: str) -> tuple[float, ...]:
     if isinstance(value, list):
         return tuple(_number(v, f"{field} hour {h}") for h, v in enumerate(value))
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field}: expected a number or a list of {horizon} numbers")
     return (float(value),) * horizon
+
+
+def _hourly(profile: tuple[float, ...]):
+    """A constant profile as its one value, any other as its list."""
+    return profile[0] if len(set(profile)) == 1 else list(profile)
 
 
 def load_profiles(path, horizon: int) -> dict[str, tuple[tuple[float, ...], tuple[float, ...]]]:
@@ -108,7 +128,7 @@ def load_profiles(path, horizon: int) -> dict[str, tuple[tuple[float, ...], tupl
         if nid not in hours_of:
             hours_of[nid] = [None] * horizon
         if not (0 <= h < horizon):
-            raise ValidationError(f"{path}: hour {h} out of range for n-Grid {nid!r}")
+            raise ValidationError(f"{path}: n-Grid {nid!r} hour {h} out of range 0-{horizon - 1}")
         if hours_of[nid][h] is not None:
             raise ValidationError(f"{path}: duplicate row for n-Grid {nid!r} hour {h}")
         hours_of[nid][h] = (rec["load_kw"], rec["pv_kw"])
@@ -170,6 +190,12 @@ def _battery(doc, owner: str, soc_key: str, soc_default=None) -> StorageUnit:
                                              f"{owner} eta_discharge"))
 
 
+def _efficiencies(unit: StorageUnit) -> dict:
+    """The efficiencies that differ from :func:`_battery`'s default of 1."""
+    return {name: getattr(unit, name) for name in ("eta_charge", "eta_discharge")
+            if getattr(unit, name) != 1.0}
+
+
 def _parse_ngrid(ndoc, nid: str, feeder_id: str, profiles, horizon: int) -> NGrid:
     base_load, pv = profiles[nid]
     bess = None
@@ -227,6 +253,9 @@ def load_fleet(fleet_path, profiles_path, horizon: int) -> Fleet:
             f"{fleet_path}: {where}: missing required field {exc.args[0]!r}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{fleet_path}: {where}: {exc}") from None
+    if unlisted := profiles.keys() - {ng.id for ng in ngrids}:
+        nid = next(nid for nid in profiles if nid in unlisted)
+        raise ValidationError(f"{profiles_path}: n-Grid {nid!r} is not in {fleet_path}")
     return Fleet(feeders=tuple(feeders), ngrids=tuple(ngrids))
 
 
@@ -234,12 +263,17 @@ def load_scenario(path) -> Scenario:
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected a YAML mapping")
+    known = {*SCENARIO_DEFAULTS, "profiles", "seed"} - {"master_seed"}
+    if unknown := [key for key in doc if key not in known]:
+        raise ValidationError(f"{path}: unknown key {unknown[0]!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     def resolve(key: str):
         if key not in doc:
             raise ValidationError(f"{path}: missing required key {key!r}")
-        return os.path.join(base_dir, str(doc[key]))
+        if not (isinstance(doc[key], str) and doc[key]):
+            raise ValidationError(f"{path}: field {key!r}: expected a file path, got {doc[key]!r}")
+        return os.path.join(base_dir, doc[key])
 
     def scalar(key: str, convert, name: str | None = None):
         """``doc[key]`` converted, else Scenario's default for ``name or key``."""
@@ -248,26 +282,18 @@ def load_scenario(path) -> Scenario:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: field {key!r}: {exc}") from None
 
-    horizon = scalar("horizon", _integer)
-    if horizon < 1:
-        raise ValidationError(f"{path}: field 'horizon': must be >= 1, got {horizon}")
+    sor = load_sor_table(sor_path := resolve("sor"))
     fleet_path = resolve("fleet")
-    fleet = load_fleet(fleet_path, resolve("profiles"), horizon)
-    sor_path = resolve("sor")
-    sor = load_sor_table(sor_path)
-    derate_path = derate = None
-    if doc.get("derate"):
-        derate_path = os.path.join(base_dir, str(doc["derate"]))
-        derate = read_feeder_hours(derate_path, DERATE_COLUMNS)
+    fleet = load_fleet(fleet_path, resolve("profiles"), sor.horizon)
+    derate_path = resolve("derate") if "derate" in doc else None
     scenario = Scenario(
         fleet=fleet,
         sor=sor,
-        horizon=horizon,
         repair_hours=scalar("repair_hours", _hours),
         replications=scalar("replications", _integer),
         master_seed=scalar("seed", _integer, "master_seed"),
         sr_delivery_hours=scalar("sr_delivery_hours", _hours),
-        derate=derate,
+        derate=derate_path and read_feeder_hours(derate_path, DERATE_COLUMNS),
         precharge=scalar("precharge", str),
     )
     # Each problem is named by its input's file, a setting by this file's key.
@@ -277,3 +303,66 @@ def load_scenario(path) -> Scenario:
         raise ValidationError("; ".join(f"{files.get(field, f'{path}: field {field!r}')}: "
                                         f"{problem}" for field, problem in problems))
     return scenario
+
+
+def write_bundle(scenario: Scenario, out_dir) -> str:
+    """Write the scenario out as the file set :func:`load_scenario` reads;
+    returns the scenario file path."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    write_table(os.path.join(out_dir, "profiles.csv"), PROFILE_COLUMNS,
+                ([ng.id, h, ng.base_load[h], ng.pv[h]]
+                 for ng in scenario.fleet.ngrids for h in range(scenario.horizon)))
+    save_sor_table(scenario.sor, os.path.join(out_dir, "sor.csv"))
+
+    # Each feeder lists the n-Grids that name it, in fleet order.
+    members = {feeder_id: [] for feeder_id in scenario.fleet.feeders}
+    for ng in scenario.fleet.ngrids:
+        members[ng.feeder_id].append(ng)
+    fleet_doc = {"feeders": []}
+    for feeder_id, ngrids in members.items():
+        fdoc = {"id": feeder_id, "ngrids": []}
+        for ng in ngrids:
+            ndoc = {"id": ng.id}
+            if ng.bess is not None:
+                ndoc["bess"] = {"capacity_kwh": ng.bess.capacity_kwh,
+                                "p_max_kw": ng.bess.p_max_kw,
+                                "soc0_kwh": ng.bess.soc_kwh, **_efficiencies(ng.bess)}
+            if ng.evs:
+                ndoc["evs"] = [{"capacity_kwh": ev.battery.capacity_kwh,
+                                "p_max_kw": ev.battery.p_max_kw,
+                                "soc_arrival_kwh": ev.battery.soc_kwh,
+                                "plug_hours": _plug_ranges(ev.plug_hours),
+                                **_efficiencies(ev.battery)}
+                               for ev in ng.evs]
+            if ng.hvac is not None:
+                ndoc["hvac"] = {"p_normal": _hourly(ng.hvac.p_normal_kw),
+                                "p_min": _hourly(ng.hvac.p_min_kw)}
+            if ng.deferrables:
+                ndoc["deferrables"] = [{"energy_kwh": t.energy_kwh, "power_kw": t.power_kw,
+                                        "earliest": t.earliest_hour, "deadline": t.deadline_hour}
+                                       for t in ng.deferrables]
+            fdoc["ngrids"].append(ndoc)
+        fleet_doc["feeders"].append(fdoc)
+    with open(os.path.join(out_dir, "fleet.json"), "w") as fh:
+        json.dump(fleet_doc, fh, indent=1)
+        fh.write("\n")
+
+    scenario_doc = {
+        "repair_hours": scenario.repair_hours,
+        "replications": scenario.replications,
+        "seed": scenario.master_seed,
+        "sr_delivery_hours": scenario.sr_delivery_hours,
+        "precharge": scenario.precharge,
+        "fleet": "fleet.json",
+        "profiles": "profiles.csv",
+        "sor": "sor.csv",
+    }
+    if scenario.derate is not None:
+        write_table(os.path.join(out_dir, "derate.csv"), DERATE_COLUMNS,
+                    ([f, h, factor] for (f, h), factor in sorted(scenario.derate.items())))
+        scenario_doc["derate"] = "derate.csv"
+    path = os.path.join(out_dir, "scenario.yaml")
+    with open(path, "w") as fh:
+        yaml.safe_dump(scenario_doc, fh, sort_keys=False)
+    return path

@@ -74,13 +74,17 @@ SOR_LOOKAHEAD_HOURS = 4
 class Scenario:
     fleet: Fleet
     sor: SorTable
-    horizon: int = 24
     repair_hours: float = 1.0
     replications: int = 1
     master_seed: int = 0
     sr_delivery_hours: float = 1.0
     derate: dict[tuple[str, int], float] | None = None
     precharge: str = "full"
+
+    @property
+    def horizon(self) -> int:
+        """The SoR table's hour count, which fixes the day."""
+        return self.sor.horizon
 
 
 # Placeholders: bench/child.py's tracer looks these two names up here and
@@ -111,21 +115,19 @@ def _setting_problems(name: str, values) -> list[tuple[str, str]]:
 
 def validate_scenario(scenario: Scenario) -> list[tuple[str, str]]:
     """(Scenario field, problem) for each broken rule: ``"fleet"`` for each
-    :func:`validate_fleet` problem, ``"sor"`` for the SoR table's coverage of
-    the fleet's feeder-hours, ``"derate"`` per derate row, else the setting."""
+    :func:`validate_fleet` problem, ``"sor"`` for the SoR table's feeders
+    against the fleet's, ``"derate"`` per derate row, else the setting."""
     report = [("fleet", problem) for problem in validate_fleet(scenario.fleet, scenario.horizon)]
     for name in _SETTING_RULES:
         report += _setting_problems(name, [getattr(scenario, name)])
-    want = {(f, h) for f in scenario.fleet.feeders for h in range(scenario.horizon)}
-    have = {(f, h) for f in scenario.sor.feeder_ids for h in range(scenario.sor.horizon)}
+    want, have = set(scenario.fleet.feeders), set(scenario.sor.feeder_ids)
     if missing := want - have:
-        f, h = min(missing)
-        report.append(("sor", f"SoR table missing entry for feeder {f!r} hour {h}"))
+        report.append(("sor", f"SoR table missing entry for feeder {min(missing)!r} hour 0"))
     elif extra := have - want:
-        f, h = min(extra)
-        report.append(("sor", f"SoR table has entry outside scenario: feeder {f!r} hour {h}"))
+        report.append(("sor", f"SoR table has entry outside scenario: feeder {min(extra)!r} "
+                              "hour 0"))
     for (f, h), factor in (scenario.derate or {}).items():
-        if (f, h) not in want:
+        if f not in want or not 0 <= h < scenario.horizon:
             report.append(("derate", f"derate row outside scenario: feeder {f!r} hour {h}"))
         if not (0.0 < factor <= 1.0):
             report.append(("derate",
@@ -327,7 +329,7 @@ class _Shadow:
     n-Grids' ``feeder_rows``, in fleet order, and its load, PV, ramp-up and
     ramp-down ``totals`` ``(F, 4, H)``, summed in that order; ``baseline``
     is the fleet series, ``(8, H)`` in ``SERIES_FIELDS`` order, its feeders
-    added in ``fleet.feeders`` order."""
+    added by feeder index."""
 
     arrays: FleetArrays
     frac: np.ndarray
@@ -359,7 +361,7 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     elif scenario.precharge == "sor":
         target = np.zeros(risk.shape)
         for k in range(1, min(SOR_LOOKAHEAD_HOURS, H) + 1):
-            ahead, now = risk[:, k:H], target[:, :H - k]
+            ahead, now = risk[:, k:], target[:, :H - k]
             now[...] = np.where(ahead > now, ahead, now)
     else:
         raise ValueError(f"unknown precharge mode {scenario.precharge!r}")
@@ -370,7 +372,7 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     feeder_of_row = np.array([row_of_feeder[ng.feeder_id] for ng in fleet.ngrids], dtype=np.intp)
 
     arrays = FleetArrays.build(fleet.ngrids, H)
-    frac = target[feeder_of_row, :H].T.copy()
+    frac = target[feeder_of_row].T.copy()
     history, flows = [arrays.initial_state()], []
     for h in range(H):
         out, state = step(arrays, history[-1], h, False, frac[h])
@@ -379,14 +381,13 @@ def compute_shadow(scenario: Scenario) -> _Shadow:
     states = FleetState(*map(np.stack, zip(*history)))
     ru, rd = ramp(arrays, FleetState(*(a[1:] for a in states)),
                   np.stack([f.bess_kw for f in flows]), np.stack([f.ev_kw for f in flows]),
-                  derate[feeder_of_row, :H].T.copy(), scenario.sr_delivery_hours)
+                  derate[feeder_of_row].T.copy(), scenario.sr_delivery_hours)
     # (4, H, N): each n-Grid's served load, PV, ramp-up and ramp-down.
     rows = np.stack([np.stack([f.served for f in flows]), arrays.pv, ru, rd])
 
     feeder_rows = [np.flatnonzero(feeder_of_row == k) for k in range(len(row_of_feeder))]
     totals = np.array([_slot_sum(rows[..., r]) for r in feeder_rows])
-    load, pv, ru_kw, rd_kw = _slot_sum(
-        totals[[row_of_feeder[f] for f in fleet.feeders]].transpose(1, 2, 0))
+    load, pv, ru_kw, rd_kw = _slot_sum(totals.transpose(1, 2, 0))
     baseline = np.array([load, pv, *np.zeros((2, H)), ru_kw, ru_kw, rd_kw, rd_kw])
     return _Shadow(arrays, frac, states, feeder_rows, totals, baseline)
 
@@ -468,7 +469,7 @@ def _monte_carlo(scenario: Scenario, shadow: _Shadow, repair_values: list[float]
     outages, runs, keys = [[] for _ in durations], [], []
     for r0 in range(0, R, block):
         hits = _uniforms(scenario.master_seed, indices[r0:r0 + block], feeder_ids,
-                         H) < scenario.sor.probabilities[:, :H]
+                         H) < scenario.sor.probabilities
         rows, islanded = _outages(hits, durations)
         for point, block_rows in zip(outages, rows):
             block_rows[:, 0] += r0

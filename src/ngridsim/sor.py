@@ -146,8 +146,8 @@ def train(rows: list[FeatureRow],
 
     Training works on numpy columns; its models are bit-for-bit those of the
     per-row booster in ``tests/scalar_sor.py``, its test oracle, on any
-    interpreter: a stable presort; sums left to right (``np.cumsum``, never
-    the pairwise ``np.sum``); ``math.exp`` mapped over ``-|x|``, never ``np.exp``.
+    interpreter: a stable presort; sums left to right (``np.cumsum``, ``np.bincount``,
+    never the pairwise ``np.sum``); ``math.exp`` mapped over ``-|x|``, never ``np.exp``.
     """
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
@@ -171,7 +171,7 @@ def train(rows: list[FeatureRow],
 
     # Label-independent, so computed once: per numeric feature, the stable
     # sort order, the valid splits k (between sorted rows k and k + 1) and
-    # their midpoint thresholds, ascending; per categorical, level members.
+    # their midpoint thresholds, ascending; per categorical, its level counts.
     columns = {}
     numeric = []
     n_left = np.arange(1, n)
@@ -187,8 +187,7 @@ def train(rows: list[FeatureRow],
     for name in categorical_names:
         columns[name] = codes, index = _column(rows, name, "categorical")
         if len(index) >= 2:
-            categorical.append((name, list(index),
-                                [np.flatnonzero(codes == c) for c in range(len(index))]))
+            categorical.append((name, list(index), codes, np.bincount(codes).tolist()))
 
     stumps: list[Stump] = []
     for _ in range(n_stumps):
@@ -211,12 +210,13 @@ def train(rows: list[FeatureRow],
                 best = (key, Stump(name, "numeric", key[2], None,
                                    float(sl_r[j]) / max(sl_h, _HESS_FLOOR),
                                    float(sr_r[j]) / max(total_h - sl_h, _HESS_FLOOR)))
-        for name, levels, members in categorical:
-            stats = []
-            for level, m in zip(levels, members):
-                s_r, s_h = float(np.cumsum(resid[m])[-1]), float(np.cumsum(hess[m])[-1])
-                stats.append((s_r / m.size, level, s_r, s_h, m.size))
-            stats.sort()  # by mean residual, then level name: deterministic
+        for name, levels, codes, counts in categorical:
+            # Each level's sums, its rows added left to right from 0.0, sorted
+            # by mean residual, then level name: deterministic.
+            sums = zip(levels, np.bincount(codes, resid, len(levels)).tolist(),
+                       np.bincount(codes, hess, len(levels)).tolist(), counts)
+            stats = sorted((s_r / count, level, s_r, s_h, count)
+                           for level, s_r, s_h, count in sums)
             sl_r, sl_h, count_left, left_levels = 0.0, 0.0, 0, []
             for _, level, s_r, s_h, count in stats[:-1]:
                 sl_r, sl_h, count_left = sl_r + s_r, sl_h + s_h, count_left + count

@@ -92,7 +92,7 @@ def test_criterion_04_sufficiency_gives_exact_zero_ens():
     for ng in cases:
         fleet = Fleet(feeders=("F1",), ngrids=(ng,))
         sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=24.0)
+        scenario = Scenario(fleet=fleet, sor=sor, repair_hours=24.0)
         series, _ = run_replication(scenario, 0)
         assert series.ens_kw.sum() == 0.0
     _passed(4, "all-day islanding with sufficient storage+PV: total ENS == 0")
@@ -115,7 +115,7 @@ def test_criterion_05_repair_time_sweep_monotone_and_plausible():
         for i in range(20))
     fleet = Fleet(feeders=("F1",), ngrids=ngrids)
     sor = SorTable({("F1", h): 1.0 if h == 0 else 0.0 for h in range(H)})
-    control = Scenario(fleet=fleet, sor=sor, horizon=H, replications=1)
+    control = Scenario(fleet=fleet, sor=sor, replications=1)
     cens = [report.total_ens_mwh for _, report in sweep_reports(control, repairs)]
     diffs = [b - a for a, b in zip(cens, cens[1:])]
     for d in diffs:

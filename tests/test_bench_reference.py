@@ -1,9 +1,10 @@
 """The benchmark's Monte Carlo outputs still match ``bench/reference/``.
 
 The inputs are built as ``bench/run.py`` builds them at its default seed:
-the case study of ``casestudy.build_case_study``, written as a bundle and
-run through the CLI. Numbers must agree within 1e-9 relative or 1e-12
-absolute, and ``outages.csv`` by its SHA-256. The test only reads ``bench/``.
+the case study of ``casestudy.build_case_study``, written as a bundle by
+``config.write_bundle`` and run through the CLI. Numbers must agree within
+1e-9 relative or 1e-12 absolute, and ``outages.csv`` by its SHA-256. The
+test only reads ``bench/``.
 """
 
 import csv
@@ -14,6 +15,7 @@ import pytest
 
 from ngridsim import casestudy
 from ngridsim.cli import main
+from ngridsim.config import write_bundle
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 REL_TOL = 1e-9
@@ -46,7 +48,7 @@ def test_outputs_match_reference(name, tmp_path):
     reps, precharge, command = WORKLOADS[name]
     scenario = casestudy.build_case_study(replications=reps)
     scenario.precharge = precharge
-    path = casestudy.write_bundle(scenario, tmp_path / "bundle")
+    path = write_bundle(scenario, tmp_path / "bundle")
     out = tmp_path / "out"
     assert main([command[0], "--scenario", path, "--out", str(out)] + command[1:]) == 0
     want_dir = REFERENCE / name

@@ -11,7 +11,7 @@ import pytest
 from fuzzing import random_fleet
 from ngridsim import casestudy, harness
 from ngridsim.cli import main
-from ngridsim.config import load_fleet, load_scenario, parse_plug_hours
+from ngridsim.config import load_fleet, load_scenario, parse_plug_hours, write_bundle
 from ngridsim.dispatch import FleetArrays
 from ngridsim.fleet import Fleet, validate_fleet
 from ngridsim.harness import Scenario, ValidationError, validate_scenario
@@ -84,7 +84,7 @@ class TestConfigLoading:
         assert validate_scenario(scenario) == []
 
     def test_bundle_round_trip(self, tmp_path):
-        """``casestudy.write_bundle`` writes what ``load_scenario`` reads:
+        """``config.write_bundle`` writes what ``load_scenario`` reads:
         efficiencies below 1, per-hour HVAC, derate and every setting.
         Values have at most 6 decimals."""
         rng = random.Random("bundle")
@@ -96,10 +96,10 @@ class TestConfigLoading:
         sor = SorTable({(f, h): round(rng.random(), 6) for f in fleet.feeders for h in range(H)})
         derate = {(f, h): round(rng.uniform(0.5, 1.0), 6)
                   for f in fleet.feeders for h in rng.sample(range(H), 3)}
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.5, replications=7,
+        scenario = Scenario(fleet=fleet, sor=sor, repair_hours=2.5, replications=7,
                             master_seed=99, sr_delivery_hours=0.5, derate=derate,
                             precharge="sor")
-        again = load_scenario(casestudy.write_bundle(scenario, tmp_path / "bundle"))
+        again = load_scenario(write_bundle(scenario, tmp_path / "bundle"))
         assert validate_scenario(again) == []
         assert again.fleet.feeders == fleet.feeders
         want, got = FleetArrays.build(fleet.ngrids, H), FleetArrays.build(again.fleet.ngrids, H)
@@ -120,19 +120,19 @@ class TestConfigLoading:
         fleet = Fleet(scenario.fleet.feeders, tuple(
             replace(ng, base_load=rounded(ng.base_load), pv=rounded(ng.pv))
             for ng in scenario.fleet.ngrids))
-        path = casestudy.write_bundle(replace(scenario, fleet=fleet), tmp_path)
+        path = write_bundle(replace(scenario, fleet=fleet), tmp_path)
         assert load_scenario(path).fleet == fleet
 
     def test_case_study_bundle_bytes(self, tmp_path):
         """The demo bundle, which the benchmark writes for every input,
         keeps its bytes: the SHA-256 of each file."""
-        casestudy.write_bundle(casestudy.build_case_study(100), tmp_path)
+        write_bundle(casestudy.build_case_study(100), tmp_path)
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in tmp_path.iterdir()}
         assert digests == {
             "fleet.json": "908cc280c72a63405c0455d3631473dcdca541b79299a0843e3ff2b2ad30c8d8",
             "profiles.csv": "66355a2a446649559375172ec7c006d6420cabf8c3277c6afa5b57821d95266a",
-            "scenario.yaml": "ea00938c9f4ff7ac7f216be7b545dcf63de5d155b9c78f3c613e4d7081c852a6",
+            "scenario.yaml": "4fcc94a495c0642a7010bcd7d39148bebdbfe5eb88e2a0828a478e028b91b865",
             "sor.csv": "ecbfa3141b884c29ac0fddf4673b5380e1f5cd8adabd0c30009f865d0b6d669d",
         }
 
@@ -278,13 +278,12 @@ class TestLoaderErrors:
         assert "repair_hours" in err and "finite" in err
 
     @pytest.mark.parametrize("old, new, field, got", [
-        ("seed: 7", "seed: 7\nhorizon: 24.9", "horizon", "24.9"),
         ("replications: 3", "replications: 2.7", "replications", "2.7"),
         ("replications: 3", "replications: yes", "replications", "True"),
         ("seed: 7", "seed: true", "seed", "True"),
         ("repair_hours: 1.0", "repair_hours: true", "repair_hours", "True"),
         ("seed: 7", "seed: 7\nsr_delivery_hours: yes", "sr_delivery_hours", "True"),
-    ], ids=["horizon-float", "replications-float", "replications-bool", "seed-bool",
+    ], ids=["replications-float", "replications-bool", "seed-bool",
             "repair_hours-bool", "sr_delivery_hours-bool"])
     def test_scalar_of_wrong_type(self, tmp_path, capsys, old, new, field, got):
         """A count, seed or duration YAML reads as the wrong type is refused,
@@ -369,8 +368,7 @@ class TestLoaderErrors:
         (lambda text: text.replace("F1,", "F2,"), "missing entry for feeder 'F1' hour 0"),
         (lambda text: text + "".join(f"F2,{h},0.0\n" for h in range(H)),
          "has entry outside scenario: feeder 'F2' hour 0"),
-        (lambda text: text.replace("F1,23,0.0\n", ""), "missing entry for feeder 'F1' hour 23"),
-    ], ids=["lacks-feeder", "extra-feeder", "ends-at-22"])
+    ], ids=["lacks-feeder", "extra-feeder"])
     def test_sor_coverage_named_with_file(self, tmp_path, capsys, edit, problem):
         """An SoR table that does not cover the fleet's feeders and hours
         exactly is named with its file."""
@@ -381,6 +379,29 @@ class TestLoaderErrors:
         assert code == 1
         assert err == f"validation error: {path}: SoR table {problem}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_sor_table_sets_the_day(self, tmp_path, capsys):
+        """An SoR table that ends at hour 22 makes a 23-hour day: the
+        profiles' hour 23 is out of it."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        sor = scenario.parent / "sor.csv"
+        sor.write_text(sor.read_text().replace("F1,23,0.0\n", ""))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == (f"validation error: {scenario.parent / 'profiles.csv'}: "
+                       "n-Grid 'N1' hour 23 out of range 0-22\n")
+
+    def test_profile_rows_for_unlisted_ngrid(self, tmp_path, capsys):
+        """Profile rows for an n-Grid the fleet does not list are refused,
+        naming the first such n-Grid."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        profiles = scenario.parent / "profiles.csv"
+        profiles.write_text(profiles.read_text() + "".join(
+            f"{nid},{h},1.0,0.0\n" for nid in ("NX99", "NX98") for h in range(H)))
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err == (f"validation error: {profiles}: n-Grid 'NX99' is not in "
+                       f"{scenario.parent / 'fleet.json'}\n")
 
     @pytest.mark.parametrize("value", ["nan", "-2.5", "inf"])
     @pytest.mark.parametrize("column", ["load_kw", "pv_kw"])
@@ -574,14 +595,34 @@ class TestLoaderErrors:
         assert code == 1
         assert capsys.readouterr().err == "validation error: replications must be >= 1, got 0\n"
 
-    def test_zero_horizon(self, tmp_path, capsys):
-        """``horizon: 0`` is named in the scenario file, not blamed on the
-        profiles' hours."""
+    @pytest.mark.parametrize("line, key", [
+        ("horizon: 24", "horizon"),
+        ("horizon: 24.9", "horizon"),
+        ("horizon: 0", "horizon"),
+        ("replicatons: 5", "replicatons"),
+    ], ids=["horizon", "horizon-float", "horizon-zero", "misspelt"])
+    def test_unknown_key(self, tmp_path, capsys, line, key):
+        """A key the scenario file does not define, such as the old
+        ``horizon`` (the SoR table sets the day) or a misspelt setting, is
+        named in the scenario file instead of being ignored."""
         scenario = write_tiny_bundle(tmp_path / "tiny")
-        scenario.write_text(scenario.read_text() + "horizon: 0\n")
+        scenario.write_text(scenario.read_text() + line + "\n")
         code, err = self.run(scenario, tmp_path, capsys)
         assert code == 1
-        assert err == f"validation error: {scenario}: field 'horizon': must be >= 1, got 0\n"
+        assert err == f"validation error: {scenario}: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["0", "false", '""'], ids=["zero", "false", "empty"])
+    def test_derate_not_a_path(self, tmp_path, capsys, value):
+        """A ``derate`` key that is present is read, so a value that is not
+        a path is refused, not taken as no derating."""
+        scenario = write_tiny_bundle(tmp_path / "tiny")
+        scenario.write_text(scenario.read_text() + f"derate: {value}\n")
+        code, err = self.run(scenario, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith(f"validation error: {scenario}: field 'derate': "
+                              "expected a file path, got ")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, argv", [
         ("profiles.csv", SIMULATE),

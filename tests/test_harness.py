@@ -17,9 +17,9 @@ import pytest
 
 from fuzzing import random_fleet
 from ngridsim import harness
-from ngridsim.casestudy import build_case_study, write_bundle
+from ngridsim.casestudy import build_case_study
 from ngridsim.cli import main
-from ngridsim.config import load_scenario
+from ngridsim.config import load_scenario, write_bundle
 from ngridsim.fleet import Fleet, NGrid, StorageUnit, validate_fleet
 from ngridsim.harness import (SERIES_FIELDS, FleetSeries, OutageEvent,
                               Scenario, ValidationError, compute_shadow,
@@ -49,7 +49,7 @@ def single_ngrid_scenario(load=2.0, pv=0.0, bess=None, sor=None, **kw):
     fleet = Fleet(feeders=("F1",), ngrids=(ng,))
     if sor is None:
         sor = flat_sor(["F1"])
-    return Scenario(fleet=fleet, sor=sor, horizon=H, **kw)
+    return Scenario(fleet=fleet, sor=sor, **kw)
 
 
 def chi_square(observed, expected, n):
@@ -301,7 +301,7 @@ class TestRunReplication:
             for i in range(3))
         fleet = Fleet(feeders=("F1",), ngrids=ngrids)
         sor = flat_sor(["F1"], overrides={("F1", 3): 1.0})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
+        scenario = Scenario(fleet=fleet, sor=sor, repair_hours=2.0)
         series, _ = run_replication(scenario, 0)
         # Hours 3 and 4 islanded: per-hour fleet ENS is the sum of each
         # n-Grid's unserved constant load.
@@ -316,7 +316,7 @@ class TestRunReplication:
                     pv=(0.0,) * H, bess=StorageUnit(10.0, 5.0, 10.0))
         fleet = Fleet(feeders=("F1", "F2"), ngrids=(ng1, ng2))
         sor = flat_sor(["F1", "F2"], overrides={("F1", 5): 1.0})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=1.0)
+        scenario = Scenario(fleet=fleet, sor=sor, repair_hours=1.0)
         series, _ = run_replication(scenario, 0)
         # Islanded hour: only F1's contribution drops out.
         assert series.ru_total_kw[5] == pytest.approx(10.0)
@@ -335,7 +335,7 @@ class TestRunReplication:
         for f1_fails in (False, True):
             overrides = {("F2", 3): 1.0, ("F1", 5): float(f1_fails)}
             scenario = Scenario(fleet=fleet, sor=flat_sor(["F1", "F2"], overrides=overrides),
-                                horizon=H, repair_hours=2.0)
+                                repair_hours=2.0)
             shadow = compute_shadow(scenario)
             got, events = run_replication(scenario, 0)
             want, want_events = replication_from_hour0(scenario, 0, shadow)
@@ -363,8 +363,7 @@ class TestShadowTables:
         entries.update({("F1", h): [0.7, 0.7, -0.0, 0.9][h - H + 4] for h in range(H - 4, H)})
         sor = SorTable(entries)
         for precharge in ("full", "sor"):
-            frac = compute_shadow(Scenario(fleet=fleet, sor=sor, horizon=H,
-                                           precharge=precharge)).frac
+            frac = compute_shadow(Scenario(fleet=fleet, sor=sor, precharge=precharge)).frac
             policy = PrechargePolicy(mode=precharge, sor=sor)
             want = np.array([[policy.target_fraction(ng.feeder_id, h, H) for ng in fleet.ngrids]
                              for h in range(H)])
@@ -379,7 +378,7 @@ class TestShadowTables:
         a grid-tied day summed in fleet order, by bytes."""
         fleet = random_fleet(random.Random("derate"), n_feeders=2, ngrids_per_feeder=3)
         derate = {("F0", 8): 0.5, ("F0", 21): 0.75, ("F1", 2): 0.6, ("F1", 19): 0.25}
-        scenario = Scenario(fleet=fleet, sor=flat_sor(["F0", "F1"], p=0.1), horizon=H,
+        scenario = Scenario(fleet=fleet, sor=flat_sor(["F0", "F1"], p=0.1),
                             derate=derate, sr_delivery_hours=1.5, precharge="sor")
         shadow = compute_shadow(scenario)
         plain = compute_shadow(replace(scenario, derate=None))
@@ -447,7 +446,7 @@ class TestIncrementalReplication:
         # F0 is certain to fail late in the day, so its last outage is cut
         # off at hour 23.
         entries.update({("F0", h): 1.0 for h in (21, 22, 23)})
-        return Scenario(fleet=fleet, sor=SorTable(entries), horizon=H,
+        return Scenario(fleet=fleet, sor=SorTable(entries),
                         repair_hours=rng.choice([1.0, 2.5, 4.0]),
                         master_seed=seed, precharge=precharge)
 
@@ -505,7 +504,7 @@ class TestIncrementalReplication:
                    pv=(0.0,) * H, bess=StorageUnit(10.0, 5.0, 10.0))
         fleet = Fleet(feeders=("F1", "F2"), ngrids=(n1, n2, n3))
         sor = flat_sor(["F1", "F2"], overrides={("F1", k): 1.0})
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0)
+        scenario = Scenario(fleet=fleet, sor=sor, repair_hours=2.0)
         step_log.clear()
         run_replication(scenario, 0)
 
@@ -637,7 +636,7 @@ class TestChunks:
         entries = {(f, h): rng.uniform(0.0, 2.0 * starts / (n_feeders * H))
                    for f in fleet.feeders for h in range(H)}
         entries[("F0", H - 1)] = 0.5
-        return Scenario(fleet=fleet, sor=SorTable(entries), horizon=H,
+        return Scenario(fleet=fleet, sor=SorTable(entries),
                         repair_hours=rng.choice([1.0, 2.5, 4.0]),
                         replications=replications, master_seed=seed, precharge=precharge)
 
@@ -746,7 +745,7 @@ class TestSharing:
         fleet = random_fleet(random.Random(k), n_feeders=3, ngrids_per_feeder=3)
         sor = SorTable({(f, h): float(f == "F1" and h == k)
                         for f in fleet.feeders for h in range(H)})
-        return Scenario(fleet=fleet, sor=sor, horizon=H, repair_hours=2.0,
+        return Scenario(fleet=fleet, sor=sor, repair_hours=2.0,
                         replications=16, master_seed=k)
 
     @staticmethod
@@ -835,7 +834,7 @@ def test_pass_memory_flat_in_replications(monkeypatch):
     monkeypatch.setattr(harness, "DRAW_BLOCK", 64)
     fleet = random_fleet(random.Random(23), n_feeders=2, ngrids_per_feeder=2)
     sor = flat_sor(fleet.feeders, overrides={(f, h): 0.5 for f in fleet.feeders for h in (8, 16)})
-    scenario = Scenario(fleet=fleet, sor=sor, horizon=H, master_seed=23, precharge="sor")
+    scenario = Scenario(fleet=fleet, sor=sor, master_seed=23, precharge="sor")
 
     def peak(replications):
         tracemalloc.start()
@@ -864,7 +863,7 @@ def test_pass_memory_flat_in_patterns(monkeypatch):
     horizon = 72
     fleet = random_fleet(random.Random(31), n_feeders=8, ngrids_per_feeder=1, horizon=horizon)
     sor = SorTable({(f, h): 0.04 for f in fleet.feeders for h in range(horizon)})
-    scenario = Scenario(fleet=fleet, sor=sor, horizon=horizon, master_seed=31)
+    scenario = Scenario(fleet=fleet, sor=sor, master_seed=31)
 
     def peak(replications):
         tracemalloc.start()
@@ -901,7 +900,7 @@ def test_pass_memory_per_outage_row():
                   bess=StorageUnit(5.0, 2.0, 5.0))
     scenario = Scenario(fleet=Fleet(("F1",), (ngrid,)),
                         sor=SorTable({("F1", h): 0.9 for h in range(horizon)}),
-                        horizon=horizon, replications=20_000, master_seed=5)
+                        replications=20_000, master_seed=5)
     tracemalloc.start()
     try:
         report = run_simulation(scenario)
@@ -928,7 +927,7 @@ def test_mean_matches_exact_series(precharge):
     entries = {(f, h): 0.0 for f in fleet.feeders for h in range(H)}
     for f in fleet.feeders:
         entries.update({(f, h): 0.25 for h in rng.sample(range(H), rng.choice([2, 3]))})
-    scenario = Scenario(fleet=fleet, sor=SorTable(entries), horizon=H, repair_hours=2.0,
+    scenario = Scenario(fleet=fleet, sor=SorTable(entries), repair_hours=2.0,
                         replications=2000, master_seed=11, precharge=precharge)
     shadow = compute_shadow(scenario)
     mean, var = shadow.baseline.copy(), np.zeros((len(SERIES_FIELDS), H))
@@ -959,7 +958,7 @@ def test_keys_wider_than_63_bits(seed, precharge):
     fleet = random_fleet(rng, n_feeders=3, ngrids_per_feeder=2, horizon=horizon)
     entries = {(f, h): rng.uniform(0.0, 0.06) for f in fleet.feeders for h in range(horizon)}
     entries[("F0", 68)] = 0.5
-    scenario = Scenario(fleet=fleet, sor=SorTable(entries), horizon=horizon,
+    scenario = Scenario(fleet=fleet, sor=SorTable(entries),
                         repair_hours=rng.choice([1.0, 2.5, 4.0]), replications=8,
                         master_seed=seed, precharge=precharge)
     want = simulation_from_hour0(scenario, compute_shadow(scenario))
@@ -1046,7 +1045,7 @@ class TestRunSimulation:
                         pv=tuple(round(v, 6) for v in ng.pv))
                 for ng in shuffled.ngrids))
             scenario = Scenario(fleet=fleet, sor=flat_sor(fleet.feeders, 0.3),
-                                horizon=H, repair_hours=2.0, replications=30, master_seed=seed)
+                                repair_hours=2.0, replications=30, master_seed=seed)
             again = load_scenario(write_bundle(scenario, tmp_path / str(seed)))
             assert [ng.id for ng in again.fleet.ngrids] != [ng.id for ng in fleet.ngrids]
             assert_same_report(run_simulation(again), run_simulation(scenario))
@@ -1158,13 +1157,24 @@ class TestEmitReport:
 
 class TestValidateScenario:
     def test_sor_completeness_checked(self):
-        ng = NGrid(id="N1", feeder_id="F1", base_load=(1.0,) * H,
-                   pv=(0.0,) * H)
-        fleet = Fleet(feeders=("F1",), ngrids=(ng,))
-        sor = SorTable({("F1", h): 0.0 for h in range(H - 1)})  # hour 23 missing
-        scenario = Scenario(fleet=fleet, sor=sor, horizon=H)
+        """The SoR table sets the hours, so an incomplete table lacks a
+        fleet feeder, which it misses from hour 0."""
+        fleet = Fleet(feeders=("F1", "F2"), ngrids=tuple(
+            NGrid(id=f"N{f}", feeder_id=f"F{f}", base_load=(1.0,) * H, pv=(0.0,) * H)
+            for f in (1, 2)))
+        scenario = Scenario(fleet=fleet, sor=flat_sor(["F1"]))
         problems = validate_scenario(scenario)
-        assert ("sor", "SoR table missing entry for feeder 'F1' hour 23") in problems
+        assert ("sor", "SoR table missing entry for feeder 'F2' hour 0") in problems
+
+    def test_horizon_is_the_sor_tables(self):
+        """The SoR table fixes the day: a scenario's horizon is its hour
+        count, and no horizon can be given or set."""
+        assert single_ngrid_scenario().horizon == H
+        assert single_ngrid_scenario(sor=SorTable({("F1", h): 0.0 for h in range(5)})).horizon == 5
+        with pytest.raises(TypeError):
+            Scenario(fleet=Fleet(feeders=(), ngrids=()), sor=flat_sor(["F1"]), horizon=H)
+        with pytest.raises(AttributeError):
+            single_ngrid_scenario().horizon = 12
 
     @pytest.mark.parametrize("field", ["repair_hours", "sr_delivery_hours"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
